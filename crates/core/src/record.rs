@@ -15,7 +15,7 @@
 
 use std::borrow::Cow;
 
-use cryptodrop_vfs::{DirtyReport, FileId, ProcessId, VPath};
+use cryptodrop_vfs::{DirtyReport, FileId, MemoSlot, ProcessId, VPath};
 
 /// One unit of deferred analysis work: the operation's identity plus every
 /// input the indicator evaluation needs, captured at operation time.
@@ -51,6 +51,10 @@ pub(crate) enum RecordBody<'a> {
         /// unknown): lets the refresh skip even the fingerprint pass when
         /// the resident snapshot already carries this stamp.
         stamp: u64,
+        /// The memo slot of the staged content `data` still equals, when
+        /// the path was staged shared and is unchanged since: lets a
+        /// cache miss reuse the snapshot another namespace captured.
+        memo: Option<MemoSlot>,
     },
     /// An in-scope file was opened: propagate its path-keyed snapshot to
     /// the open file id.
@@ -154,10 +158,16 @@ impl OpRecord<'_> {
             process_name: Cow::Owned(self.process_name.into_owned()),
             at_nanos: self.at_nanos,
             body: match self.body {
-                RecordBody::Refresh { path, data, stamp } => RecordBody::Refresh {
+                RecordBody::Refresh {
+                    path,
+                    data,
+                    stamp,
+                    memo,
+                } => RecordBody::Refresh {
                     path: own_path(path),
                     data: own_bytes(data),
                     stamp,
+                    memo,
                 },
                 RecordBody::Open { path, file } => RecordBody::Open {
                     path: own_path(path),

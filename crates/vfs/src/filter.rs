@@ -173,6 +173,17 @@ impl<'a> FsView<'a> {
         self.vfs.file_stamp_impl(path)
     }
 
+    /// The [`MemoSlot`](crate::MemoSlot) of the file's staged content,
+    /// if the path names a file staged with
+    /// [`AdminView::stage_shared`](crate::AdminView::stage_shared) whose
+    /// bytes have not changed since. Every namespace staged from one
+    /// [`SharedContent`](crate::SharedContent) sees the same slot, so a
+    /// filter can store there an analysis that is a pure function of the
+    /// bytes and compute it once for all of them.
+    pub fn file_memo(&self, path: &VPath) -> Option<&'a crate::MemoSlot> {
+        self.vfs.file_memo_impl(path)
+    }
+
     /// The file's stable inode identity, if the path names a file. Lets
     /// filters key caches by identity rather than path, so renames and
     /// hard links do not fragment their state.

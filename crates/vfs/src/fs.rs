@@ -22,7 +22,7 @@ use crate::error::{VfsError, VfsResult};
 use crate::events::{Event, EventDetail, EventLog};
 use crate::faults::FaultInjector;
 use crate::filter::{FilterDriver, FsView, Verdict};
-use crate::content::SharedContent;
+use crate::content::{MemoSlot, SharedContent};
 use crate::node::{Content, DirEntry, EntryKind, FileId, FileNode, Metadata};
 use crate::ops::{FsOp, OpContext, OpOutcome, OpenOptions};
 use crate::path::VPath;
@@ -1468,7 +1468,7 @@ impl Vfs {
         match self.file_at(mi, path) {
             Some(file) => {
                 let node = self.mounts[mi].provider.node_mut(file).expect("linked");
-                node.data = Content::from_shared(content.handle());
+                node.data = Content::staged(content);
                 node.stamp = content.stamp();
                 node.modified_at_nanos = now;
             }
@@ -1480,7 +1480,7 @@ impl Vfs {
                 let id = m.provider.alloc_ino();
                 m.provider.insert_file(
                     path,
-                    FileNode::new(id, Content::from_shared(content.handle()), content.stamp(), now),
+                    FileNode::new(id, Content::staged(content), content.stamp(), now),
                 );
             }
         }
@@ -1953,6 +1953,11 @@ impl Vfs {
         Some(node.data.as_slice())
     }
 
+    pub(crate) fn file_memo_impl(&self, path: &VPath) -> Option<&MemoSlot> {
+        let (mi, resolved) = self.resolve(path, true).ok()?;
+        self.file_node_at(mi, resolved.as_path())?.data.memo()
+    }
+
     pub(crate) fn file_stamp_impl(&self, path: &VPath) -> Option<u64> {
         let (mi, resolved) = self.resolve(path, true).ok()?;
         self.file_node_at(mi, resolved.as_path()).map(|n| n.stamp)
@@ -2246,7 +2251,9 @@ impl AdminView<'_> {
     /// shared buffer — O(1) per mount, no byte copy, no stamp
     /// recomputation — and materializes a private copy only when first
     /// written. This is how a fleet mounts one corpus into thousands of
-    /// tenant namespaces.
+    /// tenant namespaces. The file also carries the content's
+    /// [`MemoSlot`] until its bytes first change (see
+    /// [`FsView::file_memo`](crate::FsView::file_memo)).
     ///
     /// # Errors
     ///
@@ -3277,5 +3284,132 @@ mod tests {
         fs.admin().stage_shared(&p("/docs/a.txt"), &shared).unwrap();
         assert_eq!(fs.admin().metadata(&p("/docs/a.txt")).unwrap().file, id);
         assert_eq!(fs.admin().read_file(&p("/docs/a.txt")).unwrap(), b"v2");
+    }
+
+    /// The memo slot `FsView` reports for `path`, if any.
+    fn memo_at(fs: &Vfs, path: &str) -> Option<MemoSlot> {
+        FsView::new(fs).file_memo(&p(path)).cloned()
+    }
+
+    #[test]
+    fn staging_attaches_one_memo_slot_to_every_namespace() {
+        let body = b"quarterly figures, analysed once for every namespace".to_vec();
+        let shared = crate::SharedContent::new(body.clone());
+        let mut a = Vfs::with_namespace(1);
+        let mut b = Vfs::with_namespace(2);
+        a.admin().stage_shared(&p("/docs/r.txt"), &shared).unwrap();
+        b.admin().stage_shared(&p("/docs/r.txt"), &shared).unwrap();
+        let (in_a, in_b) = (memo_at(&a, "/docs/r.txt").unwrap(), memo_at(&b, "/docs/r.txt").unwrap());
+        assert!(in_a.same_slot(&in_b), "one slot across namespaces");
+        assert!(in_a.same_slot(shared.memo()));
+        assert!(in_a.get().is_none(), "staging computes nothing");
+
+        // A filled memo changes neither the byte accounting nor the
+        // aliasing of the buffer.
+        let before = (a.private_bytes(), a.shared_bytes(), shared.ref_count());
+        in_a.get_or_init(|| Arc::new(vec![0u8; 4096]));
+        assert_eq!((a.private_bytes(), a.shared_bytes(), shared.ref_count()), before);
+        assert_eq!(
+            memo_at(&b, "/docs/r.txt").unwrap().get().unwrap().downcast_ref::<Vec<u8>>().map(Vec::len),
+            Some(4096),
+            "the other namespace sees the filled memo"
+        );
+
+        // Plain files carry no slot.
+        a.admin().write_file(&p("/docs/plain.txt"), &body).unwrap();
+        assert!(memo_at(&a, "/docs/plain.txt").is_none());
+    }
+
+    #[test]
+    fn every_byte_mutation_detaches_the_memo_slot() {
+        let body = b"line one\nline two\nline three\n".to_vec();
+        let shared = crate::SharedContent::new(body.clone());
+        let other = crate::SharedContent::new(b"another release".to_vec());
+        type Mutation = fn(&mut Vfs, ProcessId, &crate::SharedContent);
+        let mutations: [(&str, Mutation); 7] = [
+            ("write", |fs, pid, _| {
+                let h = fs.open(pid, &p("/docs/r.txt"), OpenOptions::modify()).unwrap();
+                fs.write(pid, h, b"LINE").unwrap();
+                fs.close(pid, h).unwrap();
+            }),
+            ("truncate", |fs, pid, _| {
+                let h = fs.open(pid, &p("/docs/r.txt"), OpenOptions::modify()).unwrap();
+                fs.truncate(pid, h, 4).unwrap();
+                fs.close(pid, h).unwrap();
+            }),
+            ("extend", |fs, pid, _| {
+                let h = fs.open(pid, &p("/docs/r.txt"), OpenOptions::modify()).unwrap();
+                fs.truncate(pid, h, 4096).unwrap();
+                fs.close(pid, h).unwrap();
+            }),
+            ("append", |fs, pid, _| {
+                let h = fs.open(pid, &p("/docs/r.txt"), OpenOptions::modify()).unwrap();
+                let end = fs.admin().metadata(&p("/docs/r.txt")).unwrap().len;
+                fs.seek(pid, h, end).unwrap();
+                fs.write(pid, h, b"line four\n").unwrap();
+                fs.close(pid, h).unwrap();
+            }),
+            ("truncating open", |fs, pid, _| {
+                let h = fs.open(pid, &p("/docs/r.txt"), OpenOptions::create()).unwrap();
+                fs.close(pid, h).unwrap();
+            }),
+            ("re-stage", |fs, _, other| {
+                fs.admin().stage_shared(&p("/docs/r.txt"), other).unwrap();
+            }),
+            ("admin overwrite", |fs, _, _| {
+                fs.admin().write_file(&p("/docs/r.txt"), b"overwritten").unwrap();
+            }),
+        ];
+        for (name, mutate) in mutations {
+            let mut fs = Vfs::with_namespace(1);
+            fs.admin().stage_shared(&p("/docs/r.txt"), &shared).unwrap();
+            let pid = fs.spawn_process("editor.exe");
+            mutate(&mut fs, pid, &other);
+            let slot = memo_at(&fs, "/docs/r.txt");
+            assert!(
+                slot.as_ref().is_none_or(|s| !s.same_slot(shared.memo())),
+                "{name} must detach the staged slot"
+            );
+            if name == "re-stage" {
+                assert!(slot.is_some_and(|s| s.same_slot(other.memo())), "the new content's slot");
+            }
+        }
+        // Reads leave the slot attached.
+        let mut fs = Vfs::with_namespace(1);
+        fs.admin().stage_shared(&p("/docs/r.txt"), &shared).unwrap();
+        let pid = fs.spawn_process("reader.exe");
+        let h = fs.open(pid, &p("/docs/r.txt"), OpenOptions::modify()).unwrap();
+        assert_eq!(fs.read_to_end(pid, h).unwrap(), body);
+        fs.close(pid, h).unwrap();
+        assert!(memo_at(&fs, "/docs/r.txt").is_some_and(|s| s.same_slot(shared.memo())));
+    }
+
+    #[test]
+    fn unique_owner_in_place_mutation_detaches_the_memo_slot() {
+        // Content level: with every other alias dropped, `DerefMut`
+        // mutates the buffer in place — and still detaches first.
+        let shared = crate::SharedContent::new(b"sole owner".to_vec());
+        let mut content = Content::staged(&shared);
+        drop(shared);
+        assert!(!content.is_shared());
+        assert!(content.memo().is_some());
+        let buffer = content.as_ptr();
+        content[0] = b'S';
+        assert_eq!(content.as_ptr(), buffer, "mutated in place, no copy");
+        assert!(content.memo().is_none());
+
+        // Through the filesystem: the corpus handle is gone, so the node
+        // owns the buffer outright when the write lands.
+        let shared = crate::SharedContent::new(b"sole owner".to_vec());
+        let mut fs = Vfs::with_namespace(1);
+        fs.admin().stage_shared(&p("/docs/r.txt"), &shared).unwrap();
+        drop(shared);
+        assert_eq!(fs.shared_bytes(), 0, "the node is the unique owner");
+        assert!(memo_at(&fs, "/docs/r.txt").is_some());
+        let pid = fs.spawn_process("editor.exe");
+        let h = fs.open(pid, &p("/docs/r.txt"), OpenOptions::modify()).unwrap();
+        fs.write(pid, h, b"S").unwrap();
+        fs.close(pid, h).unwrap();
+        assert!(memo_at(&fs, "/docs/r.txt").is_none());
     }
 }

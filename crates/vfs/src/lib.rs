@@ -67,7 +67,7 @@ pub mod shadow;
 mod workload;
 
 pub use clock::{ClockHandle, ClockPolicy, LatencyLedger, LatencyStat, OpKind, SimClock};
-pub use content::{BlobStore, SharedContent};
+pub use content::{BlobStore, MemoSlot, SharedContent};
 pub use dirty::{content_stamp, DirtyExtent, DirtyReport, MAX_DIRTY_EXTENTS};
 pub use error::{ErrorKind, VfsError, VfsResult};
 pub use faults::{FaultInjector, FaultPlan, FaultStats};

@@ -6,6 +6,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::content::{MemoSlot, SharedContent};
+
 /// A stable file identity, analogous to an NTFS file reference number.
 ///
 /// A file keeps its [`FileId`] across renames and moves, which is what lets
@@ -86,25 +88,58 @@ impl Metadata {
 /// (`Arc::make_mut`), so a namespace pays resident bytes only for the
 /// files it actually changes. On a uniquely-owned buffer `DerefMut` is a
 /// refcount check, so single-namespace workloads see no copy overhead.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Content(Arc<Vec<u8>>);
+///
+/// Content staged from a [`SharedContent`](crate::SharedContent) also
+/// carries that content's [`MemoSlot`]. `DerefMut` drops the slot before
+/// it hands out the bytes — whether it copies them or, once every other
+/// alias is gone, mutates them in place — and every other mutation
+/// replaces the whole `Content`. A slot that is still attached therefore
+/// describes exactly the bytes it was staged with. Equality compares the
+/// bytes only.
+#[derive(Debug, Clone, Default)]
+pub struct Content {
+    bytes: Arc<Vec<u8>>,
+    memo: Option<MemoSlot>,
+}
 
 impl Content {
     /// Wraps an already-shared buffer without copying it.
     pub fn from_shared(bytes: Arc<Vec<u8>>) -> Self {
-        Self(bytes)
+        Self { bytes, memo: None }
+    }
+
+    /// Aliases a staged buffer together with its memo slot.
+    pub(crate) fn staged(content: &SharedContent) -> Self {
+        Self {
+            bytes: content.handle(),
+            memo: Some(content.memo().clone()),
+        }
     }
 
     /// Whether the buffer is aliased by another handle (a shared corpus
     /// entry or another namespace's node).
     pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.0) > 1
+        Arc::strong_count(&self.bytes) > 1
+    }
+
+    /// The memo slot of the staged content these bytes still equal, if
+    /// they were staged and never mutated since.
+    pub(crate) fn memo(&self) -> Option<&MemoSlot> {
+        self.memo.as_ref()
     }
 }
 
+impl PartialEq for Content {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Content {}
+
 impl From<Vec<u8>> for Content {
     fn from(data: Vec<u8>) -> Self {
-        Self(Arc::new(data))
+        Self::from_shared(Arc::new(data))
     }
 }
 
@@ -112,13 +147,16 @@ impl Deref for Content {
     type Target = Vec<u8>;
 
     fn deref(&self) -> &Vec<u8> {
-        &self.0
+        &self.bytes
     }
 }
 
 impl DerefMut for Content {
     fn deref_mut(&mut self) -> &mut Vec<u8> {
-        Arc::make_mut(&mut self.0)
+        // Detach first: the caller may change any byte through the
+        // returned reference.
+        self.memo = None;
+        Arc::make_mut(&mut self.bytes)
     }
 }
 
