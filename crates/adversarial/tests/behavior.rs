@@ -13,6 +13,11 @@ struct Run {
     detected: bool,
     max_score: u32,
     union: bool,
+    /// Pids suspended.
+    suspended: usize,
+    /// The plan's last pid (a split plan's writer) was suspended with the
+    /// union indication.
+    last_pid_union: bool,
     outcome: WorkloadOutcome,
     clock_end: u64,
 }
@@ -33,16 +38,23 @@ fn run(corpus: &Corpus, config: &Config, workload: &dyn Workload, seed: u64) -> 
         detected: false,
         max_score: 0,
         union: false,
+        suspended: 0,
+        last_pid_union: false,
         outcome,
         clock_end: fs.clock_handle().now_nanos(),
     };
     for &pid in &ctx.pids {
-        r.detected |= fs.is_suspended(pid);
+        let suspended = fs.is_suspended(pid);
+        r.detected |= suspended;
+        r.suspended += usize::from(suspended);
         if let Some(s) = session.summary(pid) {
             r.max_score = r.max_score.max(s.score);
             r.union |= s.union_triggered;
         }
     }
+    let last = *ctx.pids.last().expect("pid plan is non-empty");
+    r.last_pid_union =
+        fs.is_suspended(last) && session.summary(last).is_some_and(|s| s.union_triggered);
     r
 }
 
@@ -84,33 +96,35 @@ fn slow_roll_spends_hours_of_simulated_clock() {
     );
 }
 
+/// The writer never reads, but it inherits the reader's per-file entropy
+/// baselines: the union fires on the writer, as it does for one pid that
+/// both reads and writes.
 #[test]
-fn collusion_starves_the_writer_entropy_baseline() {
+fn collusion_writer_inherits_the_reader_entropy_baseline() {
     let c = corpus();
     let cfg = default_config(&c);
     let split = run(&c, &cfg, &Collusion::default(), 13);
-    // The writer never reads, so union indication (which needs the
-    // entropy primary) is impossible; detection only happens through the
-    // slower non-union path.
-    assert!(!split.union, "write-only pid has no entropy baseline");
+    assert!(split.detected, "score {}", split.max_score);
+    assert_eq!(split.suspended, 1, "only the writer is destructive");
+    assert!(split.last_pid_union, "the union fires on the writer");
     let solo = run(&c, &cfg, &Collusion { max_files: None, colluding: false }, 13);
-    assert!(solo.detected && split.detected);
-    assert!(
-        split.outcome.files_touched > solo.outcome.files_touched,
-        "split {} vs solo {} files lost",
-        split.outcome.files_touched,
-        solo.outcome.files_touched
-    );
+    assert!(solo.detected && solo.union);
 }
 
+/// A bounded plan split across a reader pid and a writer pid is caught
+/// like the same plan under one pid, before it completes.
 #[test]
-fn bounded_collusion_completes_undetected() {
+fn bounded_collusion_is_caught_like_the_solo_plan() {
     let c = corpus();
     let cfg = default_config(&c);
     let split = run(&c, &cfg, &Collusion::bounded(12), 14);
-    assert!(!split.detected, "score {}", split.max_score);
-    assert!(split.outcome.completed);
-    assert_eq!(split.outcome.files_touched, 12);
+    assert!(split.detected, "score {}", split.max_score);
+    assert_eq!(split.suspended, 1, "only the writer is destructive");
+    assert!(split.last_pid_union, "the union fires on the writer");
+    assert!(
+        !split.outcome.completed || split.outcome.files_touched < 12,
+        "suspension must interrupt the bounded plan"
+    );
     let solo = run(&c, &cfg, &Collusion::solo(12), 14);
     assert!(
         solo.detected,

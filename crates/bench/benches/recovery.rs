@@ -5,9 +5,10 @@
 //!
 //! * **write overhead** — the steady-state editor-save workload from
 //!   `engine_overhead`, with and without a shadow sink attached. The
-//!   delta is the copy-on-write capture cost a benign writer pays:
-//!   one content fingerprint per destructive op plus (on a dedup miss)
-//!   one buffer copy into the journal.
+//!   delta is the copy-on-write capture cost a benign writer pays: one
+//!   content fingerprint plus (on a dedup miss) one buffer copy for the
+//!   first save of each file, and a history lookup for every later save
+//!   by the same writer, which continues that file's run.
 //! * **restore latency** — a real sample encrypts the corpus until the
 //!   engine suspends it, then `restore` rolls the filesystem back. The
 //!   probe reports plan+apply wall time, files and bytes replayed, and

@@ -8,9 +8,12 @@
 //! * [`ShadowStore`] — a copy-on-write pre-image journal wired into the
 //!   VFS mutation path (via [`cryptodrop_vfs::ShadowSink`]). Every
 //!   destructive operation a monitored process performs — full-content
-//!   write, truncate, delete, rename-over — deposits the bytes it is about
-//!   to destroy, content-deduplicated by the engine's 64-bit fingerprints
-//!   and bounded by a byte budget with LRU eviction. Shadows belonging to
+//!   write, truncate, delete, rename-over — offers the bytes it is about
+//!   to destroy. The store keeps the first pre-image of each (file,
+//!   family) run of writes and counts every repeat as `coalesced`
+//!   without hashing or copying it, since restore never reads one.
+//!   Content is deduplicated by the engine's 64-bit fingerprints and
+//!   bounded by a byte budget with LRU eviction. Shadows belonging to
 //!   process families with nonzero reputation scores are *pinned*: the
 //!   store refuses to evict exactly the pre-images a brewing detection is
 //!   most likely to need.
@@ -37,6 +40,14 @@
 //! suspension landed (inline or reconciled later): any suspect ops that
 //! slipped in while a verdict was in flight extend the trailing run and
 //! are undone together.
+//!
+//! Runs never silently span lost history. An evicted pre-image, or one
+//! whose capture failed at the start of a run, leaves a *tombstone* in
+//! the file's history: who wrote, and where, but no bytes. A tombstone
+//! still ends the previous run and still marks a benign last writer, and
+//! a run that starts at one restores as an explicit
+//! [`RecoveryConflict::ShadowEvicted`] instead of from a later,
+//! already-overwritten pre-image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@ use cryptodrop_telemetry::JournalKind;
 use cryptodrop_vfs::{FileId, ProcessId, VPath, Vfs};
 use serde::{Deserialize, Serialize};
 
-use crate::store::{RenameNote, ShadowStore};
+use crate::store::{Event, RenameNote, ShadowStore};
 
 /// One step of a [`RecoveryPlan`].
 #[derive(Debug, Clone)]
@@ -166,9 +166,9 @@ impl ShadowStore {
         }
 
         // Files the suspect created and nobody benign ever wrote to:
-        // remove. (A benign write would appear as a shadow entry from a
-        // different family and routes the file through the trailing-run
-        // logic below instead.)
+        // remove. (A benign write leaves a history event from a different
+        // family — a tombstone if its shadow was since evicted — and
+        // routes the file through the trailing-run logic below instead.)
         let mut removed_files = std::collections::HashSet::new();
         for (&file, &creator) in &inner.created {
             if creator != family {
@@ -177,41 +177,38 @@ impl ShadowStore {
             let benign_touched = inner
                 .by_file
                 .get(&file)
-                .map(|seqs| seqs.iter().any(|s| inner.entries[s].family != family))
-                .unwrap_or(false);
+                .is_some_and(|history| history.iter().any(|e| e.family() != family));
             if !benign_touched {
                 removes.push(RecoveryAction::Remove { file });
                 removed_files.insert(file);
             }
         }
 
-        for (&file, seqs) in &inner.by_file {
+        for (&file, history) in &inner.by_file {
             if removed_files.contains(&file) {
                 continue;
             }
-            let involves_suspect = seqs.iter().any(|s| inner.entries[s].family == family);
-            if !involves_suspect {
-                continue;
-            }
-            // Trailing run of suspect-authored entries.
-            let last = &inner.entries[seqs.last().expect("by_file never empty")];
-            if last.family != family {
-                continue; // benign wrote last: its data wins, preserve.
-            }
-            let run_start = seqs
+            // The start of the trailing run of suspect-authored events;
+            // none if a benign process wrote last (its data wins).
+            let Some(start) = history
                 .iter()
                 .rev()
-                .take_while(|s| inner.entries[*s].family == family)
+                .take_while(|e| e.family() == family)
                 .last()
-                .expect("run has at least the last entry");
-            let point = &inner.entries[run_start];
-            if inner.was_evicted(file, family) {
-                evicted.push(RecoveryConflict::ShadowEvicted {
-                    file,
-                    path: admin_paths(file).unwrap_or_else(|| point.path.clone()),
-                });
+            else {
                 continue;
-            }
+            };
+            let point = match start {
+                Event::Shadow { seq, .. } => &inner.entries[seq],
+                // The run's restore point was evicted or never captured.
+                Event::Tombstone { path, .. } => {
+                    evicted.push(RecoveryConflict::ShadowEvicted {
+                        file,
+                        path: admin_paths(file).unwrap_or_else(|| path.clone()),
+                    });
+                    continue;
+                }
+            };
             let Some(bytes) = inner.blob(point.fp, point.len) else {
                 evicted.push(RecoveryConflict::ShadowEvicted {
                     file,
@@ -417,6 +414,7 @@ mod tests {
     use super::*;
     use crate::store::{ShadowConfig, ShadowStore};
     use cryptodrop_simhash::content_fingerprint;
+    use cryptodrop_vfs::{FaultInjector, FaultPlan, OpenOptions};
 
     fn p(s: &str) -> VPath {
         VPath::new(s)
@@ -429,6 +427,153 @@ mod tests {
         let suspect = fs.spawn_process("cryptolocker.exe");
         let benign = fs.spawn_process("notepad.exe");
         (store, fs, suspect, benign)
+    }
+
+    /// One save through a handle: `open(modify)` plus one `write`, so the
+    /// op journals exactly one capture (`write_file`'s truncating open
+    /// adds a second, empty one).
+    fn save(fs: &mut Vfs, pid: ProcessId, path: &VPath, bytes: &[u8]) {
+        let h = fs.open(pid, path, OpenOptions::modify()).unwrap();
+        fs.write(pid, h, bytes).unwrap();
+        fs.close(pid, h).unwrap();
+    }
+
+    fn read(fs: &mut Vfs, path: &str) -> Vec<u8> {
+        fs.admin().read_file(&p(path)).unwrap()
+    }
+
+    /// A store too small for any unpinned shadow, with the suspect's
+    /// shadows pinned: every benign capture is evicted on arrival.
+    fn starved() -> (Arc<ShadowStore>, Vfs, ProcessId, ProcessId) {
+        let (store, fs, suspect, benign) = setup(ShadowConfig {
+            byte_budget: 4,
+            max_entries: 0,
+        });
+        store.set_reputation(suspect, 1);
+        (store, fs, suspect, benign)
+    }
+
+    #[test]
+    fn evicted_benign_last_writer_still_wins() {
+        let (store, mut fs, suspect, benign) = starved();
+        fs.admin().write_file(&p("/doc"), b"original").unwrap();
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPTD");
+        save(&mut fs, benign, &p("/doc"), b"benign!!");
+        assert_eq!(store.stats().evictions, 1, "the benign shadow is gone");
+
+        let report = store.recover(suspect, &mut fs);
+        assert_eq!(read(&mut fs, "/doc"), b"benign!!");
+        assert_eq!(report.files_restored, 0);
+        assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
+    }
+
+    #[test]
+    fn evicted_benign_write_keeps_a_suspect_created_file() {
+        let (store, mut fs, suspect, benign) = starved();
+        fs.write_file(suspect, &p("/note.txt"), b"pay up now!")
+            .unwrap();
+        save(&mut fs, benign, &p("/note.txt"), b"kept notes!");
+        assert_eq!(store.stats().evictions, 1, "the benign shadow is gone");
+
+        let report = store.recover(suspect, &mut fs);
+        assert_eq!(read(&mut fs, "/note.txt"), b"kept notes!");
+        assert_eq!(report.files_removed, 0);
+    }
+
+    #[test]
+    fn evicted_benign_write_ends_the_earlier_suspect_run() {
+        let (store, mut fs, suspect, benign) = starved();
+        fs.admin().write_file(&p("/doc"), b"original").unwrap();
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPT1");
+        save(&mut fs, benign, &p("/doc"), b"benign!!");
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPT2");
+        assert_eq!(store.stats().evictions, 1, "the benign shadow is gone");
+
+        let report = store.recover(suspect, &mut fs);
+        // Only the trailing suspect run is undone; it began on the
+        // benign bytes, whatever happened to the benign shadow.
+        assert_eq!(read(&mut fs, "/doc"), b"benign!!");
+        assert_eq!(report.files_restored, 1);
+        assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
+    }
+
+    #[test]
+    fn each_writer_run_journals_one_pre_image() {
+        let (store, mut fs, suspect, benign) = setup(ShadowConfig::default());
+        store.set_reputation(suspect, 1);
+        fs.admin().write_file(&p("/doc"), b"original").unwrap();
+        for i in 0..5 {
+            save(
+                &mut fs,
+                suspect,
+                &p("/doc"),
+                format!("ENC-a{i:02}").as_bytes(),
+            );
+        }
+        for i in 0..3 {
+            save(
+                &mut fs,
+                benign,
+                &p("/doc"),
+                format!("edit-{i:03}").as_bytes(),
+            );
+        }
+        for i in 0..4 {
+            save(
+                &mut fs,
+                suspect,
+                &p("/doc"),
+                format!("ENC-b{i:02}").as_bytes(),
+            );
+        }
+        let stats = store.stats();
+        assert_eq!(stats.entries, 3, "{stats:?}");
+        assert_eq!(stats.captures, 3, "{stats:?}");
+        assert_eq!(stats.coalesced, 9, "{stats:?}");
+
+        let report = store.recover(suspect, &mut fs);
+        assert_eq!(read(&mut fs, "/doc"), b"edit-002");
+        assert_eq!(report.files_restored, 1);
+    }
+
+    #[test]
+    fn capture_failure_inside_a_run_still_restores() {
+        let (store, mut fs, suspect, _benign) = setup(ShadowConfig::default());
+        store.set_reputation(suspect, 1);
+        // The second capture point (the suspect's second save) fails.
+        fs.set_fault_injector(FaultInjector::new(
+            FaultPlan::seeded(0).capture_failure_at(1),
+        ));
+        fs.admin().write_file(&p("/doc"), b"original").unwrap();
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPT1");
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPT2");
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPT3");
+        let stats = store.stats();
+        assert_eq!(stats.capture_failures, 1, "{stats:?}");
+        assert_eq!(stats.captures, 1, "{stats:?}");
+
+        let report = store.recover(suspect, &mut fs);
+        assert_eq!(read(&mut fs, "/doc"), b"original");
+        assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
+    }
+
+    #[test]
+    fn capture_failure_at_a_run_start_is_a_conflict() {
+        let (store, mut fs, suspect, _benign) = setup(ShadowConfig::default());
+        fs.set_fault_injector(FaultInjector::new(
+            FaultPlan::seeded(0).capture_failure_at(0),
+        ));
+        fs.admin().write_file(&p("/doc"), b"original").unwrap();
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPT1");
+        save(&mut fs, suspect, &p("/doc"), b"ENCRYPT2");
+
+        let report = store.recover(suspect, &mut fs);
+        // The only later pre-image is already encrypted: refuse it.
+        assert_eq!(read(&mut fs, "/doc"), b"ENCRYPT2");
+        assert!(matches!(
+            report.conflicts[..],
+            [RecoveryConflict::ShadowEvicted { .. }]
+        ));
     }
 
     #[test]

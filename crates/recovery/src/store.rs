@@ -5,12 +5,12 @@
 // operation that triggered it, so unwrap/expect are banned outright.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use cryptodrop_simhash::content_fingerprint;
 use cryptodrop_telemetry::{JournalKind, Telemetry};
-use cryptodrop_vfs::shadow::{MutationKind, PreImage, ShadowSink};
+use cryptodrop_vfs::shadow::{PreImage, ShadowSink};
 use cryptodrop_vfs::{BlobStore, FileId, ProcessId, VPath};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -57,10 +57,12 @@ impl ShadowConfig {
 /// `CacheStats`-style counters describing the store's lifetime activity.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShadowStats {
-    /// Pre-images captured (after coalescing).
+    /// Pre-images journaled: one per (file, family) run, taken by the
+    /// run's first destructive operation.
     pub captures: u64,
-    /// Captures skipped because the file's most recent entry already
-    /// holds identical content for the same family.
+    /// Captures skipped because the file's latest history event already
+    /// belongs to the capturing family: the run's restore point is
+    /// already journaled (or already lost), so a repeat adds nothing.
     pub coalesced: u64,
     /// Captures whose content was already resident (fingerprint dedup) —
     /// a new journal entry, but no new bytes.
@@ -70,7 +72,8 @@ pub struct ShadowStats {
     /// Times eviction wanted to free space but every remaining entry was
     /// pinned (the budget is overrun rather than dropping pinned shadows).
     pub pin_overflows: u64,
-    /// Journal entries currently held.
+    /// Pre-images currently held: at most one per (file, family) run,
+    /// fewer once eviction has replaced run starts with tombstones.
     pub entries: u64,
     /// Unique pre-image bytes currently held.
     pub bytes_held: u64,
@@ -86,9 +89,10 @@ pub struct ShadowStats {
     /// occupied path).
     pub restore_conflicts: u64,
     /// Pre-image captures that failed (reported through
-    /// [`ShadowSink::capture_failed`]). Each poisons that file's restore
-    /// for the responsible family into an explicit conflict, exactly like
-    /// an eviction.
+    /// [`ShadowSink::capture_failed`]). A failure that starts a run
+    /// leaves a tombstone, so that run restores as an explicit conflict,
+    /// exactly like an eviction; one inside a run loses nothing the
+    /// restore needs.
     pub capture_failures: u64,
 }
 
@@ -98,12 +102,40 @@ pub(crate) struct Entry {
     pub(crate) seq: u64,
     pub(crate) at_nanos: u64,
     pub(crate) family: ProcessId,
-    pub(crate) kind: MutationKind,
     pub(crate) path: VPath,
     pub(crate) file: FileId,
     pub(crate) fp: u64,
     pub(crate) len: u64,
     pub(crate) read_only: bool,
+}
+
+/// One step of a file's destructive history: the start of a run of
+/// operations by one family.
+#[derive(Debug, Clone)]
+pub(crate) enum Event {
+    /// The run's pre-image is held: `seq` keys its [`Entry`].
+    Shadow { seq: u64, family: ProcessId },
+    /// The run's pre-image is gone (evicted) or was never taken (failed
+    /// capture). Only who wrote, and where, remain.
+    Tombstone {
+        seq: u64,
+        family: ProcessId,
+        path: VPath,
+    },
+}
+
+impl Event {
+    fn seq(&self) -> u64 {
+        match self {
+            Event::Shadow { seq, .. } | Event::Tombstone { seq, .. } => *seq,
+        }
+    }
+
+    pub(crate) fn family(&self) -> ProcessId {
+        match self {
+            Event::Shadow { family, .. } | Event::Tombstone { family, .. } => *family,
+        }
+    }
 }
 
 /// A suspect rename, remembered so recovery can undo it.
@@ -120,8 +152,8 @@ pub(crate) struct RenameNote {
 pub(crate) struct Inner {
     /// seq → entry; BTreeMap iteration order *is* capture (LRU) order.
     pub(crate) entries: BTreeMap<u64, Entry>,
-    /// file → its entries' seqs, in capture order (all families).
-    pub(crate) by_file: HashMap<FileId, Vec<u64>>,
+    /// file → its history (all families), in capture order.
+    pub(crate) by_file: HashMap<FileId, Vec<Event>>,
     /// (fingerprint, len) → deduplicated content, in the refcounted
     /// [`BlobStore`] shared with fleet corpus staging.
     blobs: BlobStore,
@@ -131,12 +163,6 @@ pub(crate) struct Inner {
     pub(crate) renames: Vec<RenameNote>,
     /// family root → latest reputation score (pin source).
     reputation: HashMap<ProcessId, u32>,
-    /// `(file, family)` pairs that lost an entry to eviction. Once part
-    /// of a file's history for a family is gone, the trailing run
-    /// computed from the surviving entries may start too late (its
-    /// pre-image already corrupted), so recovery flags the file as a
-    /// conflict instead of restoring the wrong bytes.
-    evicted: HashSet<(FileId, ProcessId)>,
     next_seq: u64,
     stats: ShadowStats,
 }
@@ -150,21 +176,35 @@ impl Inner {
         self.blobs.get(fp, len)
     }
 
-    /// Whether eviction has destroyed part of `file`'s history as
-    /// authored by `family`.
-    pub(crate) fn was_evicted(&self, file: FileId, family: ProcessId) -> bool {
-        self.evicted.contains(&(file, family))
+    /// Whether `family` authored `file`'s latest history event, so a new
+    /// destructive op by it continues that run.
+    fn continues_run(&self, file: FileId, family: ProcessId) -> bool {
+        self.by_file
+            .get(&file)
+            .and_then(|history| history.last())
+            .is_some_and(|last| last.family() == family)
     }
 
-    /// Removes one entry from every index, returning it and the bytes the
-    /// removal released.
-    fn remove_entry(&mut self, seq: u64) -> Option<(Entry, u64)> {
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Drops one entry's pre-image, leaving a tombstone in its place in
+    /// the file's history. Returns the entry and the bytes released.
+    fn evict(&mut self, seq: u64) -> Option<(Entry, u64)> {
         let entry = self.entries.remove(&seq)?;
-        if let Some(seqs) = self.by_file.get_mut(&entry.file) {
-            seqs.retain(|s| *s != seq);
-            if seqs.is_empty() {
-                self.by_file.remove(&entry.file);
-            }
+        let event = self
+            .by_file
+            .get_mut(&entry.file)
+            .and_then(|history| history.iter_mut().find(|e| e.seq() == seq));
+        if let Some(event) = event {
+            *event = Event::Tombstone {
+                seq,
+                family: entry.family,
+                path: entry.path.clone(),
+            };
         }
         let released = self.blobs.release(entry.fp, entry.len);
         Some((entry, released))
@@ -293,12 +333,11 @@ impl ShadowStore {
                 }
                 return;
             };
-            let Some((entry, released)) = inner.remove_entry(seq) else {
+            let Some((entry, released)) = inner.evict(seq) else {
                 // Unreachable (the seq came from the live entry map), but
                 // eviction must never panic the capture path.
                 return;
             };
-            inner.evicted.insert((entry.file, entry.family));
             inner.stats.evictions += 1;
             if self.telemetry.is_enabled() {
                 self.telemetry.counter("recovery.shadow.evictions").inc();
@@ -317,28 +356,22 @@ impl ShadowStore {
 
 impl ShadowSink for ShadowStore {
     fn capture(&self, pre: &PreImage<'_>) {
-        let fp = content_fingerprint(pre.data);
-        let len = pre.data.len() as u64;
         let mut inner = self.inner.lock();
 
-        // Coalesce: the file's most recent shadow already journals this
-        // exact (operation, content) for this family — a repeat capture
-        // adds nothing.
-        if let Some(last_seq) = inner.by_file.get(&pre.file).and_then(|s| s.last()) {
-            let last = &inner.entries[last_seq];
-            if last.family == pre.family_root
-                && last.kind == pre.kind
-                && last.fp == fp
-                && last.len == len
-            {
-                inner.stats.coalesced += 1;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.counter("recovery.shadow.coalesced").inc();
-                }
-                return;
+        // Run rule: restore only ever needs the pre-image at the start of
+        // a family's run of writes to a file. Once the run's first
+        // capture is journaled (or its tombstone recorded), a repeat adds
+        // nothing — skip before hashing or copying a byte.
+        if inner.continues_run(pre.file, pre.family_root) {
+            inner.stats.coalesced += 1;
+            if self.telemetry.is_enabled() {
+                self.telemetry.counter("recovery.shadow.coalesced").inc();
             }
+            return;
         }
 
+        let fp = content_fingerprint(pre.data);
+        let len = pre.data.len() as u64;
         let (_blob, dedup_hit) = inner.blobs.acquire_with(fp, len, || pre.data.to_vec());
         if dedup_hit {
             inner.stats.dedup_hits += 1;
@@ -347,15 +380,13 @@ impl ShadowSink for ShadowStore {
             }
         }
 
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
+        let seq = inner.next_seq();
         inner.entries.insert(
             seq,
             Entry {
                 seq,
                 at_nanos: pre.at_nanos,
                 family: pre.family_root,
-                kind: pre.kind,
                 path: pre.path.clone(),
                 file: pre.file,
                 fp,
@@ -363,7 +394,14 @@ impl ShadowSink for ShadowStore {
                 read_only: pre.read_only,
             },
         );
-        inner.by_file.entry(pre.file).or_default().push(seq);
+        inner
+            .by_file
+            .entry(pre.file)
+            .or_default()
+            .push(Event::Shadow {
+                seq,
+                family: pre.family_root,
+            });
         inner.stats.captures += 1;
         if self.telemetry.is_enabled() {
             self.telemetry.counter("recovery.shadow.captures").inc();
@@ -384,13 +422,24 @@ impl ShadowSink for ShadowStore {
         file: FileId,
         path: &VPath,
     ) {
-        // A lost pre-image leaves this file's journal (for this family)
-        // incomplete: restoring from the surviving entries could write
-        // back the wrong bytes. Poison the pair exactly like an eviction
-        // — recovery will surface an explicit `ShadowEvicted` conflict
-        // for the file instead of guessing.
+        // Inside a run the restore point is already held, so a lost
+        // repeat costs nothing. A lost run start is recorded as a
+        // tombstone: recovery then surfaces an explicit `ShadowEvicted`
+        // conflict for the file instead of restoring a later, possibly
+        // corrupted, pre-image.
         let mut inner = self.inner.lock();
-        inner.evicted.insert((file, family_root));
+        if !inner.continues_run(file, family_root) {
+            let seq = inner.next_seq();
+            inner
+                .by_file
+                .entry(file)
+                .or_default()
+                .push(Event::Tombstone {
+                    seq,
+                    family: family_root,
+                    path: path.clone(),
+                });
+        }
         inner.stats.capture_failures += 1;
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -420,8 +469,7 @@ impl ShadowSink for ShadowStore {
         to: &VPath,
     ) {
         let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
+        let seq = inner.next_seq();
         inner.renames.push(RenameNote {
             seq,
             family: family_root,
@@ -450,18 +498,20 @@ impl ShadowStore {
         inner.stats.files_removed += removed;
         inner.stats.renames_undone += renamed;
         inner.stats.restore_conflicts += conflicts;
-        let victims: Vec<u64> = inner
-            .entries
-            .values()
-            .filter(|e| e.family == family)
-            .map(|e| e.seq)
-            .collect();
-        for seq in victims {
-            inner.remove_entry(seq);
-        }
+        inner.by_file.retain(|_, history| {
+            history.retain(|e| e.family() != family);
+            !history.is_empty()
+        });
+        let Inner { entries, blobs, .. } = &mut *inner;
+        entries.retain(|_, e| {
+            let keep = e.family != family;
+            if !keep {
+                blobs.release(e.fp, e.len);
+            }
+            keep
+        });
         inner.renames.retain(|r| r.family != family);
         inner.created.retain(|_, fam| *fam != family);
-        inner.evicted.retain(|(_, fam)| *fam != family);
         if self.telemetry.is_enabled() {
             self.telemetry
                 .gauge("recovery.shadow.bytes")
@@ -476,6 +526,16 @@ impl ShadowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cryptodrop_vfs::shadow::MutationKind;
+
+    /// Whether `file` still has a pre-image in the store (rather than no
+    /// history, or only tombstones).
+    fn holds(inner: &Inner, file: u64) -> bool {
+        inner
+            .by_file
+            .get(&FileId(file))
+            .is_some_and(|history| history.iter().any(|e| matches!(e, Event::Shadow { .. })))
+    }
 
     fn img<'a>(
         pid: u32,
@@ -530,8 +590,8 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.bytes_held, 10);
         let inner = store.inner.lock();
-        assert!(!inner.by_file.contains_key(&FileId(1)), "oldest evicted");
-        assert!(inner.by_file.contains_key(&FileId(3)));
+        assert!(!holds(&inner, 1), "oldest evicted");
+        assert!(holds(&inner, 3));
     }
 
     #[test]
@@ -552,9 +612,9 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.pinned_entries, 2);
         let inner = store.inner.lock();
-        assert!(inner.by_file.contains_key(&FileId(1)));
-        assert!(!inner.by_file.contains_key(&FileId(2)));
-        assert!(inner.by_file.contains_key(&FileId(3)));
+        assert!(holds(&inner, 1));
+        assert!(!holds(&inner, 2));
+        assert!(holds(&inner, 3));
     }
 
     #[test]
@@ -610,9 +670,9 @@ mod tests {
         assert_eq!(stats.bytes_held, 3);
         assert_eq!(stats.evictions, 1);
         let inner = store.inner.lock();
-        assert!(inner.by_file.contains_key(&FileId(1)));
-        assert!(inner.by_file.contains_key(&FileId(2)));
-        assert!(!inner.by_file.contains_key(&FileId(3)));
+        assert!(holds(&inner, 1));
+        assert!(holds(&inner, 2));
+        assert!(!holds(&inner, 3));
         assert_eq!(inner.entries.len(), 2);
     }
 
@@ -642,13 +702,10 @@ mod tests {
         assert_eq!(stats.bytes_held, 9);
         let inner = store.inner.lock();
         for file in 1..=4u64 {
-            assert!(
-                inner.by_file.contains_key(&FileId(file)),
-                "shared entries survive"
-            );
+            assert!(holds(&inner, file), "shared entries survive");
         }
-        assert!(!inner.by_file.contains_key(&FileId(5)), "oldest releasing entry evicted");
-        assert!(inner.by_file.contains_key(&FileId(6)));
+        assert!(!holds(&inner, 5), "oldest releasing entry evicted");
+        assert!(holds(&inner, 6));
     }
 
     #[test]
@@ -666,22 +723,89 @@ mod tests {
         store.capture(&img(2, MutationKind::Write, &p2, 2, b"dup"));
         store.capture(&img(3, MutationKind::Write, &p3, 3, b"unique"));
         let inner = store.inner.lock();
-        assert!(!inner.by_file.contains_key(&FileId(1)), "oldest evicted");
-        assert!(inner.by_file.contains_key(&FileId(2)));
-        assert!(inner.by_file.contains_key(&FileId(3)));
+        assert!(!holds(&inner, 1), "oldest evicted");
+        assert!(holds(&inner, 2));
+        assert!(holds(&inner, 3));
     }
 
     #[test]
-    fn capture_failed_counts_and_poisons_the_file() {
+    fn a_run_journals_only_its_first_pre_image() {
+        let store = ShadowStore::new(ShadowConfig::default());
+        let doc = VPath::new("/doc");
+        // Family 1 rewrites the file three times (different bytes each
+        // time, different kinds), family 2 twice, family 1 again.
+        store.capture(&img(1, MutationKind::Write, &doc, 1, b"v0"));
+        store.capture(&img(1, MutationKind::Write, &doc, 1, b"e1"));
+        store.capture(&img(1, MutationKind::Truncate, &doc, 1, b"e2"));
+        store.capture(&img(2, MutationKind::Write, &doc, 1, b"v1"));
+        store.capture(&img(2, MutationKind::Write, &doc, 1, b"v2"));
+        store.capture(&img(1, MutationKind::Delete, &doc, 1, b"v3"));
+        let stats = store.stats();
+        assert_eq!(stats.captures, 3, "one per (file, family) run");
+        assert_eq!(stats.coalesced, 3);
+        assert_eq!(stats.entries, 3);
+        assert_eq!(stats.bytes_held, 6, "run starts v0, v1 and v3 only");
+        let inner = store.inner.lock();
+        let families: Vec<u32> = inner.by_file[&FileId(1)]
+            .iter()
+            .map(|e| e.family().0)
+            .collect();
+        assert_eq!(families, [1, 2, 1]);
+    }
+
+    #[test]
+    fn eviction_leaves_a_tombstone_that_keeps_the_run() {
+        let store = ShadowStore::new(ShadowConfig {
+            byte_budget: 5,
+            max_entries: 0,
+        });
+        let a = VPath::new("/a");
+        let b = VPath::new("/b");
+        store.capture(&img(1, MutationKind::Write, &a, 1, b"aaaaa"));
+        store.capture(&img(2, MutationKind::Write, &b, 2, b"bbbbb")); // evicts /a
+        assert_eq!(store.stats().evictions, 1);
+        // The lost run start still owns the run: a repeat by family 1
+        // coalesces into the tombstone instead of journaling a later,
+        // already-overwritten pre-image as the restore point.
+        store.capture(&img(1, MutationKind::Write, &a, 1, b"ENC"));
+        let stats = store.stats();
+        assert_eq!(stats.captures, 2);
+        assert_eq!(stats.coalesced, 1);
+        let inner = store.inner.lock();
+        assert!(matches!(
+            inner.by_file[&FileId(1)][..],
+            [Event::Tombstone {
+                family: ProcessId(1),
+                ..
+            }]
+        ));
+    }
+
+    #[test]
+    fn capture_failed_leaves_a_tombstone_only_at_a_run_start() {
         let store = ShadowStore::new(ShadowConfig::default());
         let p = VPath::new("/doc");
+        // A lost run start: tombstoned for the family root, not the child
+        // pid.
         store.capture_failed(ProcessId(2), ProcessId(1), FileId(7), &p);
-        assert_eq!(store.stats().capture_failures, 1);
+        // A lost repeat inside family 3's run: counted, nothing recorded.
+        store.capture(&img(3, MutationKind::Write, &p, 8, b"held"));
+        store.capture_failed(ProcessId(3), ProcessId(3), FileId(8), &p);
+        assert_eq!(store.stats().capture_failures, 2);
         let inner = store.inner.lock();
-        assert!(inner.was_evicted(FileId(7), ProcessId(1)));
-        assert!(
-            !inner.was_evicted(FileId(7), ProcessId(2)),
-            "poisoned for the family root, not the child pid"
-        );
+        assert!(matches!(
+            inner.by_file[&FileId(7)][..],
+            [Event::Tombstone {
+                family: ProcessId(1),
+                ..
+            }]
+        ));
+        assert!(matches!(
+            inner.by_file[&FileId(8)][..],
+            [Event::Shadow {
+                family: ProcessId(3),
+                ..
+            }]
+        ));
     }
 }

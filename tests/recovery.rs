@@ -1,17 +1,19 @@
 //! End-to-end recovery ("Drop It") tests: attack replay with rollback,
 //! shadow budget accounting, and the restore-after-suspension property
 //! under randomized attacker/benign interleavings in both backpressure
-//! modes.
+//! modes, with a roomy and a starved shadow budget.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use cryptodrop::{
-    Backpressure, CryptoDrop, PipelineConfig, Session, ShadowConfig,
+    Backpressure, CryptoDrop, PipelineConfig, RecoveryConflict, Session, ShadowConfig,
 };
 use cryptodrop_corpus::{Corpus, CorpusSpec};
 use cryptodrop_malware::{paper_sample_set, Family};
 use cryptodrop_simhash::content_fingerprint;
-use cryptodrop_vfs::{VPath, Vfs, Workload, WorkloadCtx};
+use cryptodrop_vfs::{
+    Handle, OpenOptions, ProcessId, VPath, Vfs, VfsResult, Workload, WorkloadCtx,
+};
 
 /// The full filesystem contents, for byte-for-byte comparisons.
 fn state_of(fs: &mut Vfs) -> BTreeMap<VPath, Vec<u8>> {
@@ -201,18 +203,42 @@ fn benign_body(original: &[u8], n: u64) -> Vec<u8> {
     body
 }
 
+/// Writes `body` through `h` in 256-byte chunks, so one open makes
+/// several shadow captures: the truncating open's, then one per chunk.
+fn write_chunks(fs: &mut Vfs, pid: ProcessId, h: Handle, body: &[u8]) -> VfsResult<()> {
+    body.chunks(256)
+        .try_for_each(|chunk| fs.write(pid, h, chunk).map(|_| ()))
+}
+
+/// What one interleaving left behind after reconcile + restore.
+struct Outcome {
+    /// The filesystem contents.
+    state: BTreeMap<VPath, Vec<u8>>,
+    /// Paths whose last destructive writer was the benign process.
+    benign_last: BTreeSet<VPath>,
+    /// Paths of the files recovery reported as `ShadowEvicted`: both the
+    /// path named in the conflict and the file's seeded path.
+    evicted: BTreeSet<VPath>,
+    /// Shadow-store evictions during the run.
+    evictions: u64,
+}
+
 /// Runs one randomized interleaving under the given backpressure mode and
-/// returns the filesystem state after reconcile + restore.
-fn run_interleaving(seed: u64, backpressure: Backpressure) -> BTreeMap<VPath, Vec<u8>> {
+/// shadow budget.
+fn run_interleaving(seed: u64, backpressure: Backpressure, shadow: ShadowConfig) -> Outcome {
     let mut fs = Vfs::new();
     let paths = seed_files(&mut fs);
+    let seeded: HashMap<_, _> = paths
+        .iter()
+        .map(|p| (fs.admin().metadata(p).unwrap().file.unwrap(), p.clone()))
+        .collect();
     let session: Session = CryptoDrop::builder()
         .protecting("/docs")
         .pipeline_config(PipelineConfig {
             backpressure,
             ..PipelineConfig::default()
         })
-        .recovery(ShadowConfig::default())
+        .recovery(shadow)
         .build()
         .unwrap();
     session.attach(&mut fs);
@@ -224,6 +250,7 @@ fn run_interleaving(seed: u64, backpressure: Backpressure) -> BTreeMap<VPath, Ve
     // Current location of each attacker-only file (renames move them).
     let mut located: Vec<VPath> = paths[SHARED..SHARED + ATTACKER_ONLY].to_vec();
     let mut droppings = 0u32;
+    let mut benign_last = BTreeSet::new();
 
     for _ in 0..120 {
         if rng.below(2) == 0 {
@@ -238,7 +265,13 @@ fn run_interleaving(seed: u64, backpressure: Backpressure) -> BTreeMap<VPath, Ve
                         located[k - SHARED].clone()
                     };
                     let body = high_entropy(&mut rng, 600);
-                    let _ = fs.write_file(attacker, &target, &body);
+                    if let Ok(h) = fs.open(attacker, &target, OpenOptions::create()) {
+                        // The truncating open already destroyed the
+                        // content, whatever becomes of the chunk writes.
+                        benign_last.remove(&target);
+                        let _ = write_chunks(&mut fs, attacker, h, &body);
+                        let _ = fs.close(attacker, h);
+                    }
                 }
                 6..=7 => {
                     let k = rng.below(ATTACKER_ONLY);
@@ -268,15 +301,30 @@ fn run_interleaving(seed: u64, backpressure: Backpressure) -> BTreeMap<VPath, Ve
                 &paths[SHARED + ATTACKER_ONLY + (k - SHARED)]
             };
             let body = benign_body(&originals[target], rng.next());
-            fs.write_file(benign, target, &body).unwrap();
+            let h = fs.open(benign, target, OpenOptions::create()).unwrap();
+            write_chunks(&mut fs, benign, h, &body).unwrap();
+            fs.close(benign, h).unwrap();
+            benign_last.insert(target.clone());
         }
     }
 
     session.reconcile(&mut fs);
-    session
+    let report = session
         .restore(&mut fs, attacker)
         .expect("recovery enabled");
-    state_of(&mut fs)
+    let mut evicted = BTreeSet::new();
+    for conflict in &report.conflicts {
+        if let RecoveryConflict::ShadowEvicted { file, path } = conflict {
+            evicted.insert(path.clone());
+            evicted.extend(seeded.get(file).cloned());
+        }
+    }
+    Outcome {
+        state: state_of(&mut fs),
+        benign_last,
+        evicted,
+        evictions: session.shadow_store().unwrap().stats().evictions,
+    }
 }
 
 /// Replays the same interleaving against a plain model: per path, the
@@ -320,24 +368,49 @@ fn model_expectation(seed: u64) -> BTreeMap<VPath, Vec<u8>> {
     expected
 }
 
-/// Satellite property: after suspension + restore, the filesystem is
-/// byte-identical to the model under BOTH backpressure modes, for
-/// randomized attacker/benign interleavings — detection latency (inline
-/// verdict vs deferred reconcile) must not change the recovered state.
+/// Property: after suspension + restore, the filesystem is byte-identical
+/// to the model under BOTH backpressure modes, for randomized
+/// attacker/benign interleavings — detection latency (inline verdict vs
+/// deferred reconcile) must not change the recovered state.
+///
+/// With a starved shadow budget, eviction may cost the attacker's restore
+/// points but never a benign write: every path a benign process wrote
+/// last still matches the model, and every other path either matches it
+/// or is reported as a `ShadowEvicted` conflict.
 #[test]
 fn restore_after_suspension_is_byte_identical_across_modes() {
+    let (mut starved_evictions, mut starved_conflicts) = (0, 0);
     for seed in [3, 7, 0x5EED, 0xBEEF, 0xCAFE, 91, 2024, 0xD00D] {
         let expected = model_expectation(seed);
-        let sync_state = run_interleaving(seed, Backpressure::Sync);
-        let degrade_state = run_interleaving(seed, Backpressure::DegradeToInline);
+        for backpressure in [Backpressure::Sync, Backpressure::DegradeToInline] {
+            let roomy = run_interleaving(seed, backpressure, ShadowConfig::default());
+            assert_eq!(
+                roomy.state, expected,
+                "seed {seed:#x}: {backpressure:?} state diverged from the model"
+            );
 
-        assert_eq!(
-            sync_state, expected,
-            "seed {seed:#x}: Sync state diverged from the model"
-        );
-        assert_eq!(
-            degrade_state, expected,
-            "seed {seed:#x}: DegradeToInline state diverged from the model"
-        );
+            let starved = run_interleaving(seed, backpressure, ShadowConfig::with_budget(4 * 1024));
+            starved_evictions += starved.evictions;
+            starved_conflicts += starved.evicted.len();
+            let paths: BTreeSet<&VPath> = expected.keys().chain(starved.state.keys()).collect();
+            for path in paths {
+                let got = starved.state.get(path);
+                let want = expected.get(path);
+                if starved.benign_last.contains(path) {
+                    assert_eq!(
+                        got, want,
+                        "seed {seed:#x}: {backpressure:?} lost the benign bytes of {path}"
+                    );
+                } else {
+                    assert!(
+                        got == want || starved.evicted.contains(path),
+                        "seed {seed:#x}: {backpressure:?} left {path} wrong \
+                         without a ShadowEvicted conflict"
+                    );
+                }
+            }
+        }
     }
+    assert!(starved_evictions > 0, "the starved budget must evict");
+    assert!(starved_conflicts > 0, "and cost some restores");
 }
