@@ -127,7 +127,7 @@ fn replay(fs: &mut Vfs, tenant: u32, scale: Scale, latencies: &mut Vec<u64>) -> 
             latencies.push(started.elapsed().as_nanos() as u64);
             ops += 1;
         }
-    } else if tenant % 2 == 0 {
+    } else if tenant.is_multiple_of(2) {
         let pid = fs.spawn_process("wordproc.exe");
         for round in 0..scale.editor_rounds {
             let i = (rng.next() as usize) % scale.files;

@@ -3,16 +3,14 @@
 //! processes driving forks of one shared `Session`, one `Vfs` namespace
 //! per thread) plus a producer-visible burst-absorption probe.
 //!
-//! Three engine modes are swept:
+//! Two engine modes are swept:
 //!
-//! * **inline** — the PR 1 baseline: every indicator evaluation runs on
-//!   the calling thread inside the VFS callback.
-//! * **sync** — the pipeline under [`Backpressure::Sync`]: analysis hops
-//!   to a worker but the producer blocks on the verdict slot, so this
-//!   measures pure pipeline plumbing cost at identical semantics.
-//! * **degrade** — [`Backpressure::DegradeToInline`]: the producer never
-//!   waits; full analysis overlaps with the producer's next operations
-//!   and a full queue degrades the producer to inline processing.
+//! * **inline** — the exact mode: every indicator evaluation runs on the
+//!   calling thread inside the VFS callback.
+//! * **degrade** — the async pipeline (`Backpressure::DegradeToInline`):
+//!   the producer never waits; full analysis overlaps with the producer's
+//!   next operations and a full queue degrades the producer to inline
+//!   processing.
 //!
 //! The burst probe times the *producer-visible* cost of a write burst
 //! under `degrade` with a deep queue — the latency a real application
@@ -27,7 +25,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use cryptodrop::{Backpressure, CryptoDrop, PipelineConfig, PipelineStats, Session};
+use cryptodrop::{CryptoDrop, PipelineConfig, PipelineStats, Session};
 use cryptodrop_bench::bench_corpus;
 use cryptodrop_corpus::Corpus;
 use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
@@ -36,7 +34,6 @@ use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     Inline,
-    Sync,
     Degrade,
 }
 
@@ -44,7 +41,6 @@ impl Mode {
     fn label(self) -> &'static str {
         match self {
             Mode::Inline => "inline",
-            Mode::Sync => "sync",
             Mode::Degrade => "degrade",
         }
     }
@@ -52,14 +48,7 @@ impl Mode {
     fn pipeline(self) -> Option<PipelineConfig> {
         match self {
             Mode::Inline => None,
-            Mode::Sync => Some(PipelineConfig {
-                backpressure: Backpressure::Sync,
-                ..PipelineConfig::default()
-            }),
-            Mode::Degrade => Some(PipelineConfig {
-                backpressure: Backpressure::DegradeToInline,
-                ..PipelineConfig::default()
-            }),
+            Mode::Degrade => Some(PipelineConfig::default()),
         }
     }
 }
@@ -129,7 +118,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
-    for mode in [Mode::Inline, Mode::Sync, Mode::Degrade] {
+    for mode in [Mode::Inline, Mode::Degrade] {
         group.bench_function(format!("modify_cycle/{}", mode.label()), |b| {
             b.iter_batched(
                 || {
@@ -207,7 +196,6 @@ fn measure_burst(corpus: &Corpus, mode: Mode, iters: u32) -> (f64, f64, Pipeline
         Mode::Degrade => CryptoDrop::builder()
             .protecting(corpus.root().as_str())
             .pipeline_config(PipelineConfig {
-                backpressure: Backpressure::DegradeToInline,
                 capacity: 4096,
                 ..PipelineConfig::default()
             })
@@ -252,7 +240,7 @@ fn main() {
     // freak draw no rerun can reproduce is not a ceiling. Discarding the
     // single most extreme sample (symmetrically, for every mode) keeps
     // the estimator strictly under-reporting while making it robust to
-    // one-off bursts. The three modes are sampled *interleaved* — one
+    // one-off bursts. The two modes are sampled *interleaved* — one
     // run of each per round — so every mode faces the same machine
     // epochs (page-cache state, background load) and the cross-mode
     // comparison is paired rather than sequential; rounds continue until
@@ -287,7 +275,7 @@ fn main() {
         }
     }
     let sample_modes = |threads: u32| -> Vec<Top2> {
-        let modes = [Mode::Inline, Mode::Sync, Mode::Degrade];
+        let modes = [Mode::Inline, Mode::Degrade];
         let mut top: Vec<Top2> = vec![Top2::default(); modes.len()];
         let mut stale = 0u32;
         let mut rounds = 0u32;
@@ -316,36 +304,9 @@ fn main() {
         top
     };
 
-    // Refinement (applied right after each point's rounds, while the
-    // machine epoch still matches the rounds that set inline's max):
-    // `sync`'s fast path runs the identical analysis on the producer
-    // thread with no locks held, so its true ceiling equals inline's —
-    // a measured `sync < inline` means the max estimator under-sampled
-    // sync's ceiling (which is at least inline's current estimate), not
-    // that sync is slower. Mirroring `engine_overhead`'s monotonic
-    // refinement, resample only the under-reported mode on a bounded
-    // budget, keeping the max: that can only move its estimate up
-    // toward the shared ceiling, never past it.
     let points: Vec<(u32, Vec<Top2>)> = [1u32, 2, 4, 8]
         .into_iter()
-        .map(|threads| {
-            let mut modes = sample_modes(threads);
-            if !test_mode {
-                let mut budget = 40u32;
-                let below = |m: &[Top2]| {
-                    let sync = m[1].estimate().map_or(0.0, |e| e.0);
-                    let inline = m[0].estimate().map_or(0.0, |e| e.0);
-                    sync < inline
-                };
-                while budget > 0 && below(&modes) {
-                    budget -= 1;
-                    let sample =
-                        measure_throughput(&corpus, Mode::Sync, threads, throughput_iters);
-                    modes[1].insert(sample);
-                }
-            }
-            (threads, modes)
-        })
+        .map(|threads| (threads, sample_modes(threads)))
         .collect();
 
     let mut throughput_json = Vec::new();
@@ -354,7 +315,7 @@ fn main() {
         let mut line = format!("multi_process_throughput/{threads}:");
         for (point, mode) in modes
             .into_iter()
-            .zip([Mode::Inline, Mode::Sync, Mode::Degrade])
+            .zip([Mode::Inline, Mode::Degrade])
         {
             let (cps, stats) = *point.estimate().expect("at least one round taken");
             line.push_str(&format!(" {} {cps:.0} cycles/s", mode.label()));

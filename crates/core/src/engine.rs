@@ -1160,7 +1160,7 @@ impl CryptoDrop {
     /// Whether processing `rec` inline is provably cheap — every content
     /// pass it could trigger resolves through a stamp-matching resident
     /// snapshot (or the record carries no content at all), so the analysis
-    /// is O(1) in file size. The `DegradeToInline` producer fast path uses
+    /// is O(1) in file size. The pipeline's producer fast path uses
     /// this to decide between processing a record on the calling thread
     /// (cheaper than cloning its content for the queue) and handing it to
     /// a worker (which absorbs a genuinely heavy pass off the producer's
@@ -2392,14 +2392,10 @@ impl CryptoDrop {
     }
 
     /// Routes a built record to the pipeline (when attached and running)
-    /// or processes it inline. `wait` requests per-record completion
-    /// waiting, honoured only under `Backpressure::Sync` — that mode's
-    /// contract is byte-identical behavior to the inline engine, so both
-    /// refreshes and post-operation records wait there, while
-    /// `DegradeToInline` never waits for either.
-    fn dispatch(&self, rec: OpRecord<'_>, wait: bool) -> Verdict {
+    /// or processes it inline.
+    fn dispatch(&self, rec: OpRecord<'_>) -> Verdict {
         match &self.pipeline {
-            Some(p) => p.submit(self, rec, wait),
+            Some(p) => p.submit(self, rec),
             None => self.process_record(&rec),
         }
     }
@@ -2444,10 +2440,7 @@ impl FilterDriver for CryptoDrop {
         };
         if let Some(path) = refresh {
             if let Some(rec) = self.build_refresh(key, ctx, path, fs) {
-                // `wait` keeps `Backpressure::Sync` inline-equivalent even
-                // when another family touches the same path next: the
-                // snapshot is refreshed before this pre-op returns.
-                let _ = self.dispatch(rec, true);
+                let _ = self.dispatch(rec);
             }
         }
         // Reputation-driven throttling: a suspect past the engage score
@@ -2472,7 +2465,7 @@ impl FilterDriver for CryptoDrop {
         let Some(rec) = self.build_post_record(key, ctx, outcome, fs) else {
             return Verdict::Allow;
         };
-        self.dispatch(rec, true)
+        self.dispatch(rec)
     }
 }
 

@@ -11,6 +11,14 @@
 //! per-shard batches and publishes results back through the engine's
 //! sharded state, keeping `Monitor` reads lock-cheap.
 //!
+//! The pipeline is the lagged mode: a post-operation submission returns
+//! `Allow` as soon as its record is queued, and a threshold crossing lands
+//! on the family's next operation through the inline family gate (or at
+//! [`Session::reconcile`](crate::Session::reconcile)). The exact mode —
+//! the verdict on the very operation that crosses the threshold, as paper
+//! §IV describes — is the inline engine, a session built without a
+//! pipeline.
+//!
 //! Backpressure on a full shard queue is explicit policy, not an accident
 //! — see [`Backpressure`]. Queue depth, batch size, drain latency, and
 //! degradation events are exported through the telemetry registry
@@ -29,18 +37,16 @@
 //!   the interrupted batch at the front of its shard (FIFO preserved,
 //!   nothing lost) and the session's respawn wrapper restarts the worker,
 //!   counted in [`PipelineStats::worker_restarts`]. A record that keeps
-//!   panicking its worker is retried once, then completed with `Allow`
-//!   and counted in [`PipelineStats::abandoned`] — a poison pill must not
+//!   panicking its worker is retried once, then completed un-analyzed and
+//!   counted in [`PipelineStats::abandoned`] — a poison pill must not
 //!   crash-loop the pool.
 //! * **Poisoned locks** never cascade: every mutex/condvar acquisition
 //!   recovers the guard via [`PoisonError::into_inner`]. The protected
 //!   state is a `VecDeque` plus counters, all valid at every await point,
 //!   so recovery is safe by construction.
-//! * **`Sync` verdict waits carry a deadline**
-//!   ([`PipelineConfig::sync_deadline`]): a producer whose worker died
-//!   re-claims its own record from the shard queue and processes it
-//!   inline ([`PipelineStats::sync_fallbacks`]) instead of blocking on
-//!   the condvar forever.
+//! * **Producers never wait on a worker**: a full shard queue makes the
+//!   producer drain it itself, so a dead worker costs throughput, never
+//!   liveness.
 //!
 //! The pipeline's blocking primitives are `std::sync` mutexes and condvars
 //! (the vendored `parking_lot` stand-in has no condvar).
@@ -51,7 +57,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use cryptodrop_telemetry::{Counter, Gauge, Histogram, JournalKind, Telemetry};
@@ -69,20 +75,16 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// How many times a record is handed to a worker before the pipeline
-/// gives up on analyzing it (completing its slot with `Allow` and
-/// counting it in [`PipelineStats::abandoned`]).
+/// gives up on analyzing it (completing it un-analyzed and counting it in
+/// [`PipelineStats::abandoned`]).
 const MAX_PROCESS_ATTEMPTS: u32 = 2;
 
-/// What happens when a record arrives at a full shard queue.
+/// What happens when a record arrives at a full shard queue. There is one
+/// policy, kept as a type so configurations that name it keep compiling;
+/// the exact mode, with the verdict on the crossing operation itself, is
+/// the inline engine (a session without a pipeline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
-    /// Block the producer until the worker makes room, and wait for each
-    /// post-operation record's verdict before returning it to the VFS.
-    /// Verdict-equivalent to the inline engine: every operation sees
-    /// exactly the verdict the analysis produces, at the same point in
-    /// the operation stream. The default.
-    #[default]
-    Sync,
     /// Never block and never drop: an enqueued post-operation submission
     /// returns `Allow` immediately (a crossing lands on the family's next
     /// operation via the inline family gate), and a full shard queue makes
@@ -92,7 +94,8 @@ pub enum Backpressure {
     /// Records whose analysis is provably O(1) (stamp-matching
     /// steady-state saves) are processed on the calling thread instead of
     /// queued — cheaper than cloning their content — and return their
-    /// real verdict, exactly as the inline engine would.
+    /// real verdict, exactly as the inline engine would. The default.
+    #[default]
     DegradeToInline,
 }
 
@@ -109,12 +112,8 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Most records a worker takes from one shard per drain. Default 32.
     pub max_batch: usize,
-    /// How long a `Sync` producer waits on its verdict slot (or a full
-    /// queue) before assuming the owning worker died and falling back to
-    /// processing inline. Purely a liveness bound — on a healthy pipeline
-    /// the condvar fires long before it. Must be nonzero. Default 50ms.
-    pub sync_deadline: Duration,
-    /// Full-queue policy. Default [`Backpressure::Sync`].
+    /// Full-queue policy. Default (and only)
+    /// [`Backpressure::DegradeToInline`].
     pub backpressure: Backpressure,
 }
 
@@ -125,8 +124,7 @@ impl Default for PipelineConfig {
             capacity: 256,
             workers: 2,
             max_batch: 32,
-            sync_deadline: Duration::from_millis(50),
-            backpressure: Backpressure::Sync,
+            backpressure: Backpressure::DegradeToInline,
         }
     }
 }
@@ -141,66 +139,28 @@ pub struct PipelineStats {
     /// inline through degradation, which never enter a queue).
     pub processed: u64,
     /// Full-queue degradations: submissions that drained the shard and ran
-    /// inline under [`Backpressure::DegradeToInline`].
+    /// inline (see [`Backpressure::DegradeToInline`]).
     pub degraded: u64,
     /// Batches drained (by workers or by degrading producers).
     pub batches: u64,
     /// Workers respawned after a panic unwound their loop.
     pub worker_restarts: u64,
-    /// `Sync` producers that hit [`PipelineConfig::sync_deadline`] and
-    /// completed their record inline (queue reclaim or full-queue drain).
-    pub sync_fallbacks: u64,
-    /// Records whose analysis was abandoned (slot completed with `Allow`)
-    /// after repeatedly panicking their worker.
+    /// Records whose analysis was abandoned (completed un-analyzed) after
+    /// repeatedly panicking their worker.
     pub abandoned: u64,
 }
 
-/// A record in flight, with the completion slot the `Sync`-mode producer
-/// is blocked on (`None` under `DegradeToInline`).
+/// A record in flight.
 struct Queued {
     rec: OpRecord<'static>,
-    slot: Option<Arc<VerdictSlot>>,
     /// Times a drain has picked this record up. Bumped before processing,
     /// so a panic mid-analysis is charged to the record that caused it.
     attempts: u32,
 }
 
-/// One-shot verdict hand-off from the worker to a waiting producer.
-#[derive(Default)]
-struct VerdictSlot {
-    verdict: Mutex<Option<Verdict>>,
-    ready: Condvar,
-}
-
-impl VerdictSlot {
-    fn put(&self, v: Verdict) {
-        let mut g = lock_recover(&self.verdict);
-        *g = Some(v);
-        drop(g);
-        self.ready.notify_all();
-    }
-
-    /// Waits up to `timeout` for the verdict. `None` means the deadline
-    /// (or a spurious wakeup) passed with the slot still empty — the
-    /// caller decides whether to reclaim the record or keep waiting.
-    fn wait_timeout(&self, timeout: Duration) -> Option<Verdict> {
-        let mut g = lock_recover(&self.verdict);
-        if let Some(v) = g.take() {
-            return Some(v);
-        }
-        let (mut g, _timed_out) = self
-            .ready
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        g.take()
-    }
-}
-
 /// One bounded FIFO shard.
 struct ShardQueue {
     q: Mutex<VecDeque<Queued>>,
-    /// Signalled when the worker makes room (Sync producers wait here).
-    not_full: Condvar,
     /// Held across batch processing, by the worker or by a degrading
     /// producer — guarantees a shard's records are never reordered even
     /// when a producer drains it.
@@ -210,10 +170,10 @@ struct ShardQueue {
     /// Records enqueued on this shard and not yet completed — counts a
     /// record from its `q.push_back` until its verdict is produced, so it
     /// covers both queue residency *and* time inside a worker's batch
-    /// (a panic-requeued record simply stays counted). The producer fast
-    /// paths (`Sync` and the `DegradeToInline` light-record path) read
-    /// this single atomic to prove the shard has no in-flight analysis to
-    /// order against; fast-path records themselves never touch it.
+    /// (a panic-requeued record simply stays counted). The light-record
+    /// fast path reads this single atomic to prove the shard has no
+    /// in-flight analysis to order against; fast-path records themselves
+    /// never touch it.
     busy: AtomicU64,
 }
 
@@ -221,29 +181,11 @@ impl ShardQueue {
     fn new() -> Self {
         Self {
             q: Mutex::new(VecDeque::new()),
-            not_full: Condvar::new(),
             drain: Mutex::new(()),
             enqueued: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             busy: AtomicU64::new(0),
         }
-    }
-
-    /// Removes and returns the queued record owned by `slot`, if it is
-    /// still waiting on this shard (identity, not equality: the producer
-    /// reclaims exactly its own record). Used by the `Sync` deadline
-    /// fallback; under `Sync` every producer blocks per record, so a
-    /// family never has two records queued from one thread and the
-    /// out-of-queue completion cannot reorder a family's analysis.
-    fn take_by_slot(&self, slot: &Arc<VerdictSlot>) -> Option<Queued> {
-        let mut q = lock_recover(&self.q);
-        let pos = q
-            .iter()
-            .position(|item| item.slot.as_ref().is_some_and(|s| Arc::ptr_eq(s, slot)))?;
-        let item = q.remove(pos);
-        drop(q);
-        self.not_full.notify_all();
-        item
     }
 }
 
@@ -253,7 +195,6 @@ struct PipelineMetrics {
     processed: Counter,
     degraded: Counter,
     worker_restarts: Counter,
-    sync_fallbacks: Counter,
     abandoned: Counter,
     depth: Gauge,
     batch_size: Histogram,
@@ -267,7 +208,6 @@ impl PipelineMetrics {
             processed: t.counter("pipeline.processed"),
             degraded: t.counter("pipeline.degraded"),
             worker_restarts: t.counter("pipeline.worker_restarts"),
-            sync_fallbacks: t.counter("pipeline.sync_fallbacks"),
             abandoned: t.counter("pipeline.abandoned"),
             depth: t.gauge("pipeline.queue.depth"),
             batch_size: t.histogram("pipeline.batch.size"),
@@ -282,21 +222,13 @@ pub(crate) struct PipelineShared {
     cfg: PipelineConfig,
     shards: Vec<ShardQueue>,
     shutdown: AtomicBool,
-    /// Work-available sequence + condvar: producers bump it after every
-    /// enqueue; workers re-scan instead of sleeping whenever it moved.
+    /// Work-available sequence + condvar: producers bump it when they wake
+    /// the workers; workers re-scan instead of sleeping whenever it moved.
     work_seq: Mutex<u64>,
     work_ready: Condvar,
-    /// Workers currently parked inside `work_ready.wait_timeout`. Producers
-    /// consult it on enqueue: with deep idle backoff (up to 50ms) a parked
-    /// worker must be notified of *any* enqueue, not just the
-    /// empty→non-empty transition, or a `DegradeToInline` producer — which
-    /// never waits and so never re-signals — leaves records stranded until
-    /// the backoff timer fires.
-    sleepers: AtomicU64,
     degraded: AtomicU64,
     batches: AtomicU64,
     worker_restarts: AtomicU64,
-    sync_fallbacks: AtomicU64,
     abandoned: AtomicU64,
     metrics: PipelineMetrics,
     telemetry: Telemetry,
@@ -309,9 +241,8 @@ pub(crate) struct PipelineShared {
 /// Drop guard around one drained batch: on a panic mid-processing the
 /// not-yet-completed remainder (including the record being processed) is
 /// pushed back onto the **front** of the shard queue in its original
-/// order, so nothing is lost, FIFO holds, and every waiting producer's
-/// slot is eventually completed by the respawned worker (or reclaimed by
-/// its producer at the sync deadline).
+/// order, so nothing is lost, FIFO holds, and the respawned worker (or a
+/// degrading producer) picks the remainder up.
 struct BatchGuard<'a> {
     pipeline: &'a PipelineShared,
     shard: &'a ShardQueue,
@@ -328,8 +259,7 @@ impl Drop for BatchGuard<'_> {
             q.push_front(item);
         }
         drop(q);
-        // Wake the respawned worker (and any deadline-waiting producers'
-        // eventual reclaim scans find the records back on the queue).
+        // Wake the respawned worker.
         self.pipeline.signal_work();
     }
 }
@@ -347,11 +277,9 @@ impl PipelineShared {
             shutdown: AtomicBool::new(false),
             work_seq: Mutex::new(0),
             work_ready: Condvar::new(),
-            sleepers: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
-            sync_fallbacks: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
             metrics,
             telemetry,
@@ -376,44 +304,6 @@ impl PipelineShared {
         self.work_ready.notify_all();
     }
 
-    /// Wake policy after an enqueue, per backpressure mode.
-    ///
-    /// * `Sync`: the producer is (or is about to be) blocked on its
-    ///   verdict slot, so the worker must run *now* — the empty→non-empty
-    ///   transition always signals (a deeper queue means an earlier
-    ///   enqueue already bumped `work_seq`, or a worker is mid-drain and
-    ///   its loop picks the record up), and so does any enqueue made
-    ///   while a worker is parked, because the exponential idle backoff
-    ///   can otherwise hold a parked worker for up to 50ms.
-    /// * `DegradeToInline`: the producer never waits, so an eager wake
-    ///   buys nothing and costs a lot — waking a parked worker preempts
-    ///   the producer (the sleeper has all the scheduler credit), which
-    ///   hands the analysis right back to the producer-visible window the
-    ///   mode exists to protect. Wakes are therefore *batched*: nothing
-    ///   is signalled until the queue reaches half capacity (sustained
-    ///   overload — the worker must engage or the producer will hit the
-    ///   full-queue inline drain), and below that the worker's bounded
-    ///   idle timer (≤50ms) or an explicit [`Self::quiesce`] picks the
-    ///   records up. A lagged crossing still lands via the inline family
-    ///   gate, which is this mode's documented contract.
-    fn wake_for_enqueue(&self, depth: usize) {
-        let wake = match self.cfg.backpressure {
-            Backpressure::Sync => depth == 1 || self.sleepers.load(Ordering::Relaxed) > 0,
-            Backpressure::DegradeToInline => depth >= (self.cfg.capacity / 2).max(1),
-        };
-        if wake {
-            self.signal_work();
-        }
-    }
-
-    fn note_enqueued(&self, shard: &ShardQueue, depth: usize) {
-        shard.enqueued.fetch_add(1, Ordering::Relaxed);
-        if self.telemetry.is_enabled() {
-            self.metrics.enqueued.inc();
-            self.metrics.depth.set(depth as i64);
-        }
-    }
-
     /// Records that a worker was respawned after a panic. Called by the
     /// session's worker wrapper, which owns the `catch_unwind`.
     pub(crate) fn note_worker_restart(&self) {
@@ -427,212 +317,102 @@ impl PipelineShared {
         }
     }
 
-    fn note_sync_fallback(&self) {
-        self.sync_fallbacks.fetch_add(1, Ordering::Relaxed);
-        if self.telemetry.is_enabled() {
-            self.metrics.sync_fallbacks.inc();
-        }
-    }
-
-    /// Submits one record. `wait` requests per-record completion waiting,
-    /// honoured only under `Backpressure::Sync` (whose contract is
-    /// byte-identical behavior to the inline engine);
-    /// `DegradeToInline` ignores it and never blocks.
-    pub(crate) fn submit(&self, engine: &CryptoDrop, rec: OpRecord<'_>, wait: bool) -> Verdict {
+    /// Submits one record and returns its verdict: the real one when the
+    /// producer processed it on the calling thread (a light record, a
+    /// full-queue degradation, or a pipeline already shut down), `Allow`
+    /// when it was queued — a crossing then lands on the family's next
+    /// operation through the inline family gate.
+    pub(crate) fn submit(&self, engine: &CryptoDrop, rec: OpRecord<'_>) -> Verdict {
         if self.shutdown.load(Ordering::Acquire) {
             // The owning Session is gone: degrade to inline processing.
             return engine.process_record(&rec);
         }
         let shard = &self.shards[self.shard_for(rec.key)];
-        match self.cfg.backpressure {
-            Backpressure::Sync => {
-                // Producer fast path: a waiting `Sync` submission needs its
-                // verdict before returning anyway, so the producer
-                // processes the record on the calling thread — skipping
-                // the whole own/enqueue/wake/condvar round-trip (and its
-                // allocations). Ordering is safe without holding any
-                // shard lock across the analysis, because the queue only
-                // exists to keep one *family's* records FIFO, and under
-                // `Sync` every production submission waits for its
-                // verdict (`Engine::dispatch` passes `wait = true` for
-                // refreshes and post-operation records alike): a family's
-                // previous record has fully settled before its producer
-                // can even construct the next one. The only same-family
-                // records that can exist concurrently come from
-                // `wait = false` callers (pipeline-internal tests), and
-                // those are exactly what `busy` counts — every record
-                // from enqueue to verdict, queue residency and worker
-                // batches alike — so one acquire load proves the shard
-                // has nothing in flight to order against (the release
-                // decrement at completion publishes that record's engine
-                // effects). On a nonzero count we conservatively fall
-                // through to the queue. No lock is held across the
-                // analysis, so concurrent producers in different
-                // families proceed in parallel exactly as the inline
-                // engine would. Accounting still records the record as
-                // enqueued + processed so the settlement invariant
-                // (`enqueued == processed` at quiesce) holds. Disabled
-                // while a fault injector is armed: chaos runs exist to
-                // exercise the worker path (panic injection, respawn,
-                // batch requeue), and the fast path would starve workers
-                // of records entirely.
-                if wait && self.injector.is_none() && shard.busy.load(Ordering::Acquire) == 0 {
-                    let v = engine.process_record(&rec);
-                    shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                    shard.processed.fetch_add(1, Ordering::Relaxed);
-                    if self.telemetry.is_enabled() {
-                        self.metrics.enqueued.inc();
-                        self.metrics.processed.inc();
-                    }
-                    return v;
-                }
-                let mut q = lock_recover(&shard.q);
-                while q.len() >= self.cfg.capacity {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        drop(q);
-                        return engine.process_record(&rec);
-                    }
-                    let (guard, timed_out) = shard
-                        .not_full
-                        .wait_timeout(q, self.cfg.sync_deadline)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    q = guard;
-                    if timed_out.timed_out() && q.len() >= self.cfg.capacity {
-                        // The owning worker looks dead: drain the shard
-                        // ourselves (FIFO under the drain lock) so the
-                        // producer is never wedged on a full queue.
-                        drop(q);
-                        self.note_sync_fallback();
-                        {
-                            let _drain = lock_recover(&shard.drain);
-                            self.drain_shard(engine, shard, false);
-                        }
-                        q = lock_recover(&shard.q);
-                    }
-                }
-                let slot = if wait {
-                    Some(Arc::new(VerdictSlot::default()))
-                } else {
-                    None
-                };
+        // Producer fast path. A producer never waits, so handing a record
+        // to a worker is a real win only when the analysis outweighs the
+        // hand-off — and the hand-off is not free: `into_owned` clones the
+        // record's full content (refresh/read/write/close records carry
+        // the whole file), and the enqueue+wake round-trip costs a lock
+        // and a notify. For a *light* record (every content pass resolves
+        // through a stamp-matching snapshot in O(1) — the steady-state
+        // save), the clone alone dwarfs the analysis, so the producer
+        // processes it borrowed on the calling thread. Heavy records
+        // (changed content, full sniff/sdhash/entropy) still enqueue: that
+        // is the burst the pipeline exists to absorb. One acquire load of
+        // `busy == 0` proves this shard has nothing queued or mid-batch to
+        // order against (the release decrement at completion publishes
+        // that record's engine effects), and in production a family's
+        // records come from one `Vfs` thread, so no same-family record can
+        // be submitted concurrently. Counted as enqueued + processed so
+        // the settlement invariant holds; disabled under fault injection
+        // so chaos runs keep exercising the worker path.
+        if self.injector.is_none()
+            && shard.busy.load(Ordering::Acquire) == 0
+            && engine.record_is_light(&rec)
+        {
+            let v = engine.process_record(&rec);
+            shard.enqueued.fetch_add(1, Ordering::Relaxed);
+            shard.processed.fetch_add(1, Ordering::Relaxed);
+            if self.telemetry.is_enabled() {
+                self.metrics.enqueued.inc();
+                self.metrics.processed.inc();
+            }
+            return v;
+        }
+        {
+            let mut q = lock_recover(&shard.q);
+            if q.len() < self.cfg.capacity {
                 q.push_back(Queued {
                     rec: rec.into_owned(),
-                    slot: slot.clone(),
                     attempts: 0,
                 });
                 shard.busy.fetch_add(1, Ordering::Release);
                 let depth = q.len();
                 drop(q);
-                self.note_enqueued(shard, depth);
-                self.wake_for_enqueue(depth);
-                match slot {
-                    Some(slot) => self.await_verdict(engine, shard, &slot),
-                    None => Verdict::Allow,
-                }
-            }
-            Backpressure::DegradeToInline => {
-                // Producer fast path, Degrade flavor. A Degrade producer
-                // never waits, so handing a record to a worker is a real
-                // win only when the analysis outweighs the hand-off —
-                // and the hand-off is not free: `into_owned` clones the
-                // record's full content (refresh/read/write/close records
-                // carry the whole file), and the enqueue+wake round-trip
-                // costs a lock and a notify. For a *light* record (every
-                // content pass resolves through a stamp-matching snapshot
-                // in O(1) — the steady-state save), the clone alone dwarfs
-                // the analysis, so the producer processes it borrowed on
-                // the calling thread. Heavy records (changed content, full
-                // sniff/sdhash/entropy) still enqueue: that is the burst
-                // the pipeline exists to absorb. Ordering mirrors the
-                // `Sync` fast path: one acquire load of `busy == 0`
-                // proves this shard has nothing queued or mid-batch to
-                // order against, and in production a family's records come
-                // from one `Vfs` thread, so no same-family record can be
-                // submitted concurrently. Counted as enqueued + processed
-                // so the settlement invariant holds; disabled under fault
-                // injection so chaos runs keep exercising the worker path.
-                if self.injector.is_none()
-                    && shard.busy.load(Ordering::Acquire) == 0
-                    && engine.record_is_light(&rec)
-                {
-                    let v = engine.process_record(&rec);
-                    shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                    shard.processed.fetch_add(1, Ordering::Relaxed);
-                    if self.telemetry.is_enabled() {
-                        self.metrics.enqueued.inc();
-                        self.metrics.processed.inc();
-                    }
-                    return v;
-                }
-                {
-                    let mut q = lock_recover(&shard.q);
-                    if q.len() < self.cfg.capacity {
-                        q.push_back(Queued {
-                            rec: rec.into_owned(),
-                            slot: None,
-                            attempts: 0,
-                        });
-                        shard.busy.fetch_add(1, Ordering::Release);
-                        let depth = q.len();
-                        drop(q);
-                        self.note_enqueued(shard, depth);
-                        self.wake_for_enqueue(depth);
-                        return Verdict::Allow;
-                    }
-                }
-                // Shard saturated: the producer degrades. Take the drain
-                // lock so inline processing cannot reorder against the
-                // worker's in-flight batch, empty the shard first (FIFO),
-                // then process the new record directly from its borrowed
-                // form — nothing is ever dropped and nothing is copied.
-                self.degraded.fetch_add(1, Ordering::Relaxed);
+                shard.enqueued.fetch_add(1, Ordering::Relaxed);
                 if self.telemetry.is_enabled() {
-                    self.metrics.degraded.inc();
-                    let shard_idx = self.shard_for(rec.key) as u64;
-                    self.telemetry
-                        .journal_event(rec.at_nanos, rec.key.0, || JournalKind::Backpressure {
-                            shard: shard_idx,
-                            queued: self.cfg.capacity as u64,
-                        });
+                    self.metrics.enqueued.inc();
+                    self.metrics.depth.set(depth as i64);
                 }
-                let _drain = lock_recover(&shard.drain);
-                self.drain_shard(engine, shard, false);
-                engine.process_record(&rec)
+                // Wakes are batched. The producer never waits, so an eager
+                // wake buys nothing and costs a lot — waking a parked
+                // worker preempts the producer (the sleeper has all the
+                // scheduler credit), which hands the analysis right back
+                // to the producer-visible window the pipeline exists to
+                // protect. Nothing is signalled until the queue reaches
+                // half capacity (sustained overload — the worker must
+                // engage or the producer will hit the full-queue inline
+                // drain); below that the worker's bounded idle timer
+                // (≤50ms) or an explicit [`Self::quiesce`] picks the
+                // records up.
+                if depth >= (self.cfg.capacity / 2).max(1) {
+                    self.signal_work();
+                }
+                return Verdict::Allow;
             }
         }
-    }
-
-    /// Blocks on `slot` with the configured deadline. Each expiry checks
-    /// whether the record is still sitting on the shard queue (its worker
-    /// died before picking it up, or a panic requeued it): if so, the
-    /// producer reclaims it and analyzes inline; if it is in a worker's
-    /// batch, the batch guard guarantees the slot completes or the record
-    /// returns to the queue, so waiting again always terminates.
-    fn await_verdict(
-        &self,
-        engine: &CryptoDrop,
-        shard: &ShardQueue,
-        slot: &Arc<VerdictSlot>,
-    ) -> Verdict {
-        loop {
-            if let Some(v) = slot.wait_timeout(self.cfg.sync_deadline) {
-                return v;
-            }
-            if let Some(item) = shard.take_by_slot(slot) {
-                let v = engine.process_record(&item.rec);
-                shard.busy.fetch_sub(1, Ordering::Release);
-                shard.processed.fetch_add(1, Ordering::Relaxed);
-                self.note_sync_fallback();
-                if self.telemetry.is_enabled() {
-                    self.metrics.processed.inc();
-                }
-                return v;
-            }
+        // Shard saturated: the producer degrades. Take the drain lock so
+        // inline processing cannot reorder against the worker's in-flight
+        // batch, empty the shard first (FIFO), then process the new record
+        // directly from its borrowed form — nothing is ever dropped and
+        // nothing is copied.
+        self.degraded.fetch_add(1, Ordering::Relaxed);
+        if self.telemetry.is_enabled() {
+            self.metrics.degraded.inc();
+            let shard_idx = self.shard_for(rec.key) as u64;
+            self.telemetry
+                .journal_event(rec.at_nanos, rec.key.0, || JournalKind::Backpressure {
+                    shard: shard_idx,
+                    queued: self.cfg.capacity as u64,
+                });
         }
+        let _drain = lock_recover(&shard.drain);
+        self.drain_shard(engine, shard, false);
+        engine.process_record(&rec)
     }
 
-    /// Empties one shard in max-batch chunks, processing every record and
-    /// completing its slot. Caller must hold the shard's drain lock.
+    /// Empties one shard in max-batch chunks, processing every record.
+    /// Caller must hold the shard's drain lock.
     /// `worker` marks worker-context drains (the only ones subject to
     /// panic injection). Returns the number of records processed.
     ///
@@ -649,7 +429,6 @@ impl PipelineShared {
                 }
                 q.drain(..n).collect()
             };
-            shard.not_full.notify_all();
             let timer = self.telemetry.start_timer();
             let batch_len = batch.len() as u64;
             let mut guard = BatchGuard {
@@ -664,9 +443,6 @@ impl PipelineShared {
                     // more than once: complete it un-analyzed rather than
                     // crash-looping the pool.
                     if let Some(item) = guard.pending.pop_front() {
-                        if let Some(slot) = &item.slot {
-                            slot.put(Verdict::Allow);
-                        }
                         shard.busy.fetch_sub(1, Ordering::Release);
                         shard.processed.fetch_add(1, Ordering::Relaxed);
                         self.abandoned.fetch_add(1, Ordering::Relaxed);
@@ -694,12 +470,10 @@ impl PipelineShared {
                         }
                     }
                 }
-                let v = engine.process_record(&item.rec);
-                if let Some(done) = guard.pending.pop_front() {
-                    if let Some(slot) = &done.slot {
-                        slot.put(v);
-                    }
-                }
+                // A queued record's verdict has no caller left to take it:
+                // a crossing reaches the family through the family gate.
+                engine.process_record(&item.rec);
+                guard.pending.pop_front();
                 shard.busy.fetch_sub(1, Ordering::Release);
                 shard.processed.fetch_add(1, Ordering::Relaxed);
                 if self.telemetry.is_enabled() {
@@ -720,7 +494,7 @@ impl PipelineShared {
     /// One worker's main loop: round-robin over its owned shards, sleeping
     /// on the work signal only when every owned shard is dry. Exits after
     /// shutdown once its shards are empty (drain-first shutdown: every
-    /// queued record is processed, every waiting producer released).
+    /// queued record is processed).
     ///
     /// May panic (that is the point of worker-panic injection, and a
     /// defensive posture toward real analysis bugs): callers wrap it in
@@ -728,13 +502,12 @@ impl PipelineShared {
     /// [`note_worker_restart`](Self::note_worker_restart).
     pub(crate) fn worker_loop(&self, engine: &CryptoDrop, worker_idx: usize, workers: usize) {
         let owns = |i: usize| i % workers.max(1) == worker_idx;
-        // Idle backoff for the missed-wakeup safety net below: producers
-        // always bump `work_seq` and notify before a worker could sleep
-        // through an enqueue, so the timeout only guards against lost
-        // wakeups — an idle worker doubles it up to 50ms rather than
-        // re-scanning every few milliseconds and stealing timeslices
-        // from producers (the `Sync` fast path keeps queues empty, so
-        // idle is the steady state there).
+        // Idle backoff: producers signal only once a queue reaches half
+        // capacity (see `submit`), so below that this timer is what picks
+        // records up. An idle worker doubles it up to 50ms rather than
+        // re-scanning every few milliseconds and stealing timeslices from
+        // producers (the light-record fast path keeps queues empty in the
+        // steady state).
         const IDLE_MIN: Duration = Duration::from_millis(1);
         const IDLE_MAX: Duration = Duration::from_millis(50);
         let mut idle = IDLE_MIN;
@@ -766,27 +539,20 @@ impl PipelineShared {
             }
             let g = lock_recover(&self.work_seq);
             if *g == seen {
-                // Timeout is a missed-wakeup safety net only; producers
-                // bump the sequence before notifying, so a signal between
-                // the scan and this check is never lost. The sleeper count
-                // is published while the sequence lock is still held:
-                // a producer that misses it (raced the park) bumps the
-                // sequence under the same lock, which this worker observes
-                // on the next `seen` read.
-                self.sleepers.fetch_add(1, Ordering::Release);
+                // Producers bump the sequence before notifying, so a signal
+                // between the scan and this check is never lost.
                 let _ = self
                     .work_ready
                     .wait_timeout(g, idle)
                     .unwrap_or_else(PoisonError::into_inner);
-                self.sleepers.fetch_sub(1, Ordering::Release);
                 idle = (idle * 2).min(IDLE_MAX);
             }
         }
     }
 
     /// Blocks until every record enqueued so far has been processed. Kicks
-    /// the workers on every poll: `DegradeToInline` batches its wakes, so
-    /// records may be sitting in a shallow queue with every worker parked
+    /// the workers on every poll: producers batch their wakes, so records
+    /// may be sitting in a shallow queue with every worker parked
     /// — quiesce must not wait out the idle timer.
     pub(crate) fn quiesce(&self) {
         loop {
@@ -807,9 +573,6 @@ impl PipelineShared {
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.signal_work();
-        for shard in &self.shards {
-            shard.not_full.notify_all();
-        }
     }
 
     pub(crate) fn stats(&self) -> PipelineStats {
@@ -824,7 +587,6 @@ impl PipelineShared {
             degraded: self.degraded.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            sync_fallbacks: self.sync_fallbacks.load(Ordering::Relaxed),
             abandoned: self.abandoned.load(Ordering::Relaxed),
         }
     }
@@ -836,9 +598,9 @@ mod tests {
 
     use std::borrow::Cow;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Once;
+    use std::sync::{Arc, Once};
 
-    use cryptodrop_vfs::{FaultPlan, FileId, ProcessId};
+    use cryptodrop_vfs::{FaultPlan, FileId, ProcessId, VPath};
 
     use super::*;
     use crate::config::Config;
@@ -862,13 +624,20 @@ mod tests {
         });
     }
 
+    /// A heavy record (a write with no stamp): it never takes the
+    /// light-record fast path, so every submit goes through the queue.
     fn test_record(pid: u32, at_nanos: u64) -> OpRecord<'static> {
         OpRecord {
             key: ProcessId(pid),
             issuer: ProcessId(pid),
             process_name: Cow::Owned("chaos.exe".to_string()),
             at_nanos,
-            body: RecordBody::Truncate { file: FileId(1) },
+            body: RecordBody::Write {
+                path: Cow::Owned(VPath::new("/docs/a.txt")),
+                file: FileId(1),
+                data: Cow::Owned(vec![7; 64]),
+                stamp: 0,
+            },
         }
     }
 
@@ -878,8 +647,7 @@ mod tests {
             capacity: 8,
             workers: 1,
             max_batch: 4,
-            sync_deadline: Duration::from_millis(10),
-            backpressure: Backpressure::Sync,
+            backpressure: Backpressure::DegradeToInline,
         }
     }
 
@@ -889,11 +657,10 @@ mod tests {
         engine
     }
 
-    /// Regression (satellite 1): a `Sync` producer used to block forever
-    /// on `ready.wait` when the worker that owned its record died. The
-    /// deadline fallback must reclaim the record and return.
+    /// A producer never waits on a worker: with the only worker dead, a
+    /// full shard degrades onto the producer, which drains it and returns.
     #[test]
-    fn sync_producer_survives_worker_death_mid_batch() {
+    fn producer_survives_worker_death_mid_batch() {
         quiet_expected_panics();
         let engine = test_engine();
         // The worker panics on the very first record it picks up — and
@@ -913,36 +680,23 @@ mod tests {
             })
             .unwrap();
 
-        // Occupy the shard first: an idle shard would let the waiting
-        // submit below fast-path inline without ever touching the worker.
-        // This record wakes the worker, which panics on it (requeueing it
-        // under the batch guard) and stays dead — so the shard is
-        // non-empty and the next submit must take the queue path.
-        assert_eq!(shared.submit(&engine, test_record(3, 0), false), Verdict::Allow);
+        // The worker's idle timer finds this record, panics on it (the
+        // batch guard requeues it) and exits.
+        assert_eq!(shared.submit(&engine, test_record(3, 0)), Verdict::Allow);
+        worker.join().unwrap();
+        assert_eq!(lock_recover(&shared.shards[0].q).len(), 1, "record requeued");
 
-        // Must return despite the dead worker (used to hang forever).
-        let v = shared.submit(&engine, test_record(3, 1), true);
-        assert_eq!(v, Verdict::Allow);
-        let stats = shared.stats();
-        assert!(
-            stats.sync_fallbacks >= 1,
-            "producer must have reclaimed its record: {stats:?}"
-        );
-
-        // The first record is still queued (the dead worker requeued it on
-        // unwind, and `take_by_slot` only reclaims the producer's own
-        // record). Settle it with a producer-context drain, then the
-        // shard's books must balance.
-        {
-            let shard = &shared.shards[0];
-            let _drain = lock_recover(&shard.drain);
-            shared.drain_shard(&engine, shard, false);
+        // Fill the shard past capacity: the last submit finds it full and
+        // must degrade onto the producer instead of waiting for a worker.
+        let capacity = small_config().capacity as u64;
+        for i in 1..=capacity {
+            assert_eq!(shared.submit(&engine, test_record(3, i)), Verdict::Allow);
         }
         let stats = shared.stats();
+        assert!(stats.degraded >= 1, "full shard must degrade: {stats:?}");
         assert_eq!(stats.enqueued, stats.processed);
-
-        shared.begin_shutdown();
-        worker.join().unwrap();
+        assert!(lock_recover(&shared.shards[0].q).is_empty());
+        shared.quiesce();
     }
 
     /// The batch guard requeues an interrupted batch at the shard front:
@@ -958,8 +712,7 @@ mod tests {
             Some(FaultInjector::new(plan)),
         );
         for i in 0..3 {
-            // wait=false so submission does not block on a slot.
-            assert_eq!(shared.submit(&engine, test_record(5, i), false), Verdict::Allow);
+            assert_eq!(shared.submit(&engine, test_record(5, i)), Verdict::Allow);
         }
         let shard = &shared.shards[0];
         {
@@ -996,7 +749,7 @@ mod tests {
             Telemetry::disabled(),
             Some(FaultInjector::new(plan)),
         );
-        assert_eq!(shared.submit(&engine, test_record(9, 0), false), Verdict::Allow);
+        assert_eq!(shared.submit(&engine, test_record(9, 0)), Verdict::Allow);
         let shard = &shared.shards[0];
         let mut panics = 0;
         // MAX_PROCESS_ATTEMPTS panicking drains, then one that abandons.
@@ -1036,7 +789,7 @@ mod tests {
         assert!(shared.shards[0].q.is_poisoned());
         // Submission still works end to end through the recovered guard.
         let engine = test_engine();
-        let v = shared.submit(&engine, test_record(4, 0), false);
+        let v = shared.submit(&engine, test_record(4, 0));
         assert_eq!(v, Verdict::Allow);
         assert_eq!(shared.stats().enqueued, 1);
     }

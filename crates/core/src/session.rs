@@ -224,11 +224,6 @@ fn validate_pipeline(cfg: &PipelineConfig) -> Result<(), ConfigError> {
     if cfg.max_batch == 0 {
         return Err(ConfigError::ZeroPipelineParam("max_batch"));
     }
-    if cfg.sync_deadline.is_zero() {
-        // A zero deadline would spin producers through the reclaim path on
-        // every wait instead of ever letting a worker answer.
-        return Err(ConfigError::ZeroPipelineParam("sync_deadline"));
-    }
     Ok(())
 }
 
@@ -288,13 +283,15 @@ impl SessionBuilder {
     /// Runs analysis on the async batched pipeline with default sizing
     /// (see [`PipelineConfig`]). Without this (or
     /// [`pipeline_config`](Self::pipeline_config)), analysis runs inline
-    /// in the filter callbacks.
+    /// in the filter callbacks — the exact mode, where the operation that
+    /// crosses the threshold is the one suspended. Pipelined verdicts
+    /// lag: read results after [`Session::drain`], and apply late
+    /// detections with [`Session::reconcile`].
     pub fn pipelined(self) -> Self {
         self.pipeline_config(PipelineConfig::default())
     }
 
-    /// Runs analysis on the async batched pipeline with explicit sizing
-    /// and backpressure policy.
+    /// Runs analysis on the async batched pipeline with explicit sizing.
     pub fn pipeline_config(mut self, config: PipelineConfig) -> Self {
         self.pipeline = Some(config);
         self
@@ -546,9 +543,9 @@ impl Session {
     }
 
     /// Blocks until every record enqueued so far has been analyzed. A
-    /// no-op for inline sessions. Call before reading scores or detections
-    /// under `Backpressure::DegradeToInline`; under `Sync` every verdict
-    /// is already complete when the operation returns.
+    /// no-op for inline sessions, whose every verdict is complete when the
+    /// operation returns. Call before reading scores or detections from a
+    /// pipelined session.
     pub fn drain(&self) {
         if let Some(p) = &self.pipeline {
             p.quiesce();
@@ -664,12 +661,12 @@ impl Session {
     }
 
     /// Drains the pipeline, then applies any detection that has not yet
-    /// reached `fs`'s process table as a suspension. Under
-    /// `Backpressure::DegradeToInline` a threshold crossing can land
-    /// *after* the triggering operation returned `Allow`; the family gate
-    /// suspends on the family's next operation, but a process that goes
-    /// quiet would otherwise never be suspended. Returns the number of
-    /// suspensions applied.
+    /// reached `fs`'s process table as a suspension. On a pipelined
+    /// session a threshold crossing can land *after* the triggering
+    /// operation returned `Allow`; the family gate suspends on the
+    /// family's next operation, but a process that goes quiet would
+    /// otherwise never be suspended. Returns the number of suspensions
+    /// applied.
     pub fn reconcile(&self, fs: &mut Vfs) -> usize {
         self.drain();
         let mut applied = 0;
@@ -858,13 +855,6 @@ mod tests {
                     ..PipelineConfig::default()
                 },
             ),
-            (
-                "sync_deadline",
-                PipelineConfig {
-                    sync_deadline: std::time::Duration::ZERO,
-                    ..PipelineConfig::default()
-                },
-            ),
         ] {
             assert_eq!(
                 CryptoDrop::builder()
@@ -907,14 +897,12 @@ mod tests {
             .to_string(),
             ConfigError::ZeroMaxDigestBytes.to_string(),
             ConfigError::ZeroPipelineParam("workers").to_string(),
-            ConfigError::ZeroPipelineParam("sync_deadline").to_string(),
         ];
         for m in &msgs {
             assert!(!m.is_empty());
         }
         assert!(msgs[1].contains("union_threshold"));
         assert!(msgs[5].contains("workers"));
-        assert!(msgs[6].contains("sync_deadline"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use cryptodrop::{Config, CryptoDrop, PipelineConfig, Telemetry};
+use cryptodrop::{Config, CryptoDrop, Telemetry};
 use cryptodrop_corpus::Corpus;
 use cryptodrop_malware::{BehaviorClass, RansomwareSample};
 use cryptodrop_vfs::{EventDetail, FileId, Vfs, VPath, Workload, WorkloadCtx, WorkloadOutcome};
@@ -47,22 +47,6 @@ pub fn run_sample(corpus: &Corpus, config: &Config, sample: &RansomwareSample) -
     run_sample_with_telemetry(corpus, config, sample, Telemetry::disabled()).0
 }
 
-/// [`run_sample`] with analysis routed through the async batched pipeline
-/// instead of running inline in the filter callbacks.
-///
-/// Under [`cryptodrop::Backpressure::Sync`] the result is byte-identical to
-/// [`run_sample`] (`pipelined_replay_matches_inline` and the
-/// `table1_pipeline` experiment guard this); `DegradeToInline` trades that
-/// equivalence for a non-blocking producer, so detections can land late.
-pub fn run_sample_pipelined(
-    corpus: &Corpus,
-    config: &Config,
-    sample: &RansomwareSample,
-    pipeline: PipelineConfig,
-) -> SampleResult {
-    run_sample_inner(corpus, config, sample, Telemetry::disabled(), Some(pipeline)).0
-}
-
 /// [`run_sample`] with a caller-supplied telemetry sink shared between the
 /// VFS and the engine, returning the run's harvested
 /// [`RunTelemetry`](crate::telemetry::RunTelemetry) alongside the result.
@@ -76,40 +60,22 @@ pub fn run_sample_with_telemetry(
     sample: &RansomwareSample,
     telemetry: Telemetry,
 ) -> (SampleResult, crate::telemetry::RunTelemetry) {
-    run_sample_inner(corpus, config, sample, telemetry, None)
-}
-
-fn run_sample_inner(
-    corpus: &Corpus,
-    config: &Config,
-    sample: &RansomwareSample,
-    telemetry: Telemetry,
-    pipeline: Option<PipelineConfig>,
-) -> (SampleResult, crate::telemetry::RunTelemetry) {
     let mut fs = Vfs::new();
     corpus
         .stage_into(&mut fs)
         .expect("staging a generated corpus into an empty filesystem cannot fail");
     fs.set_telemetry(telemetry.clone());
-    let mut builder = CryptoDrop::builder()
+    let session = CryptoDrop::builder()
         .config(config.clone())
-        .telemetry(telemetry.clone());
-    if let Some(pcfg) = pipeline {
-        builder = builder.pipeline_config(pcfg);
-    }
-    let session = builder.build().expect("experiment configs are valid");
+        .telemetry(telemetry.clone())
+        .build()
+        .expect("experiment configs are valid");
     let monitor = session.monitor();
     fs.register_filter(Box::new(session.fork()));
     let ctx = WorkloadCtx::spawn(&mut fs, sample, corpus.root(), sample.seed());
     let pid = ctx.pid();
 
     let outcome = sample.drive(&mut fs, &ctx);
-    // Settle any still-queued analysis before reading results. `detected`
-    // deliberately stays "did the VFS suspend the sample mid-run" in every
-    // mode — reconciliation of lagged detections is the embedder's call
-    // (`Session::reconcile`), not part of the paper's metric.
-    session.drain();
-
     let detected = fs.is_suspended(pid);
     let summary = monitor.summary(pid);
     let report = monitor.detection_for(pid);
@@ -417,38 +383,6 @@ mod tests {
         assert_eq!(w.files_lost, s.files_lost);
         assert_eq!(w.outcome.completed, s.completed);
         assert_eq!(w.outcome.files_touched, s.files_attacked);
-    }
-
-    /// The acceptance gate for the async pipeline: Table I replayed
-    /// through a `Backpressure::Sync` pipeline is byte-identical to the
-    /// inline engine — per-sample results, aggregated table, and rendered
-    /// text alike.
-    #[test]
-    fn pipelined_replay_matches_inline() {
-        let corpus = quick_corpus();
-        let config = Config::protecting(corpus.root().as_str());
-        // A cross-class slice of the paper sample set (every ~61st of
-        // 492); the full-table replay runs in the bin targets.
-        let samples: Vec<_> = paper_sample_set().into_iter().step_by(61).take(6).collect();
-        assert!(samples.len() > 3);
-
-        let inline: Vec<_> = samples.iter().map(|s| run_sample(&corpus, &config, s)).collect();
-        let piped: Vec<_> = samples
-            .iter()
-            .map(|s| run_sample_pipelined(&corpus, &config, s, PipelineConfig::default()))
-            .collect();
-        assert_eq!(inline, piped, "Sync pipeline diverged from inline");
-        assert!(inline.iter().any(|r| r.detected), "slice must detect something");
-
-        let t_inline = crate::table1::Table1::from_results(&inline);
-        let t_piped = crate::table1::Table1::from_results(&piped);
-        assert_eq!(t_inline, t_piped);
-        assert_eq!(
-            serde_json::to_string(&t_inline).unwrap(),
-            serde_json::to_string(&t_piped).unwrap(),
-            "serialized Table I must be byte-identical"
-        );
-        assert_eq!(t_inline.render(), t_piped.render());
     }
 
     #[test]

@@ -330,7 +330,7 @@ mod tests {
             let body: Vec<u8> = (0..40u32)
                 .flat_map(|l| format!("file {i} line {l}: steady prose content\n").into_bytes())
                 .collect();
-            fleet.stage_file(VPath::new(&format!("/docs/doc-{i}.txt")), body);
+            fleet.stage_file(VPath::new(format!("/docs/doc-{i}.txt")), body);
         }
         FleetAdmin::new(fleet)
     }
@@ -376,7 +376,7 @@ mod tests {
         let t = admin.fleet_mut().get_mut(1).unwrap();
         let pid = t.fs_mut().spawn_process("evil.exe");
         for i in 0..25 {
-            let path = VPath::new(&format!("/docs/doc-{i}.txt"));
+            let path = VPath::new(format!("/docs/doc-{i}.txt"));
             let Ok(h) = t.fs_mut().open(pid, &path, OpenOptions::modify()) else {
                 break;
             };
@@ -467,6 +467,9 @@ mod tests {
             "x".repeat(FleetAdmin::MAX_REQUEST_BYTES)
         );
         assert_eq!(code(&admin.handle_line(&padded)), Some(Value::Num(-32600.0)));
+        // A high surrogate followed by a non-low escape.
+        let unpaired = r#"{"id":1,"method":"\uD800\u0041"}"#;
+        assert_eq!(code(&admin.handle_line(unpaired)), Some(Value::Num(-32700.0)));
         // The plane keeps serving afterwards.
         let r = result(&admin.handle_line(r#"{"id":2,"method":"stats"}"#));
         assert_eq!(r.get("tenants").and_then(Value::as_u64), Some(0));

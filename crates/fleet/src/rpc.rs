@@ -4,8 +4,9 @@
 //! build container has no registry access), so the admin plane carries its
 //! own recursive-descent parser and writer. Only what line-delimited
 //! JSON-RPC needs is implemented: the full value grammar, string escapes
-//! (including `\uXXXX` with surrogate pairs), and integer-friendly number
-//! rendering. Deliberately absent: streaming, comments, trailing commas.
+//! (including `\uXXXX` with validated surrogate pairs), and
+//! integer-friendly number rendering. Deliberately absent: streaming,
+//! comments, trailing commas.
 //! Nesting depth is bounded ([`MAX_DEPTH`]), so hostile input fails with
 //! a [`ParseError`] instead of exhausting the stack.
 //!
@@ -205,21 +206,22 @@ impl std::error::Error for ParseError {}
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after value"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    // Byte offset into `text`; only ever stops on a char boundary.
     pos: usize,
     // Arrays and objects currently open around `pos`.
     depth: usize,
@@ -235,7 +237,11 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn rest(&self) -> &[u8] {
+        &self.text.as_bytes()[self.pos..]
     }
 
     fn skip_ws(&mut self) {
@@ -254,7 +260,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.rest().starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -372,12 +378,13 @@ impl Parser<'_> {
                             let c = if (0xD800..0xDC00).contains(&hi) {
                                 // High surrogate: a \uXXXX low surrogate
                                 // must follow to form one code point.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if self.rest().starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
+                                    (0xDC00..=0xDFFF)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -394,11 +401,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    // Consume one full UTF-8 scalar.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -429,9 +437,8 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -470,6 +477,17 @@ mod tests {
         assert_eq!(parse(r#""é😀""#).unwrap().as_str(), Some("é😀"));
         // A lone high surrogate cannot form a scalar.
         assert!(parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_are_validated() {
+        assert_eq!(parse(r#""\uD83D\uDE00""#).unwrap().as_str(), Some("😀"));
+        // A high surrogate must be followed by a low one, and a low
+        // surrogate cannot stand alone.
+        for bad in [r#""\uD800\u0041""#, r#""\uD800\uE000""#, r#""\uDC00""#] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::Syntax, "{bad}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --example faults`
 
-use cryptodrop::{Backpressure, CryptoDrop, PipelineConfig, Telemetry};
+use cryptodrop::{CryptoDrop, Telemetry};
 use cryptodrop_recovery::ShadowConfig;
 use cryptodrop_vfs::{FaultPlan, VPath, Vfs, VfsError};
 
@@ -58,19 +58,15 @@ fn main() {
         }
     }));
 
-    // 3. A fully armed session: pipelined analysis, shadow-copy recovery,
-    //    telemetry, and the fault plan. `Session::attach` wires the
-    //    injector into the filesystem alongside the filter and the
+    // 3. A fully armed session: async pipelined analysis, shadow-copy
+    //    recovery, telemetry, and the fault plan. `Session::attach` wires
+    //    the injector into the filesystem alongside the filter and the
     //    shadow sink.
     let telemetry = Telemetry::new(16 * 1024);
     let session = CryptoDrop::builder()
         .protecting("/docs")
         .telemetry(telemetry.clone())
-        .pipeline_config(PipelineConfig {
-            sync_deadline: std::time::Duration::from_millis(10),
-            backpressure: Backpressure::Sync,
-            ..PipelineConfig::default()
-        })
+        .pipelined()
         .recovery(ShadowConfig::default())
         .faults(plan)
         .build()
@@ -93,7 +89,8 @@ fn main() {
             }
         }
     }
-    session.drain();
+    // Pipelined verdicts lag: apply any detection the attacker's last
+    // operations produced.
     session.reconcile(&mut fs);
 
     println!("attacker suspended: {}", fs.is_suspended(pid));
@@ -110,7 +107,7 @@ fn main() {
     let p = session.pipeline_stats();
     println!("\npipeline absorbed the damage:");
     println!("  worker_restarts  = {}", p.worker_restarts);
-    println!("  sync_fallbacks   = {}", p.sync_fallbacks);
+    println!("  degraded         = {}", p.degraded);
     println!("  abandoned        = {}", p.abandoned);
     println!("  processed        = {} / {} enqueued", p.processed, p.enqueued);
 

@@ -86,7 +86,8 @@ fn typed_error_constructors_map_to_kinds() {
     assert_eq!(VfsError::SymlinkLoop(p).kind(), ErrorKind::SymlinkLoop);
 }
 
-/// Verdict constructors and the mount-era defaults embedders rely on.
+/// Verdict constructors and the defaults embedders rely on: mount
+/// options and the pipeline's backpressure policy.
 #[test]
 fn verdict_and_mount_option_defaults_are_stable() {
     assert!(matches!(Verdict::default(), Verdict::Allow));
@@ -103,6 +104,8 @@ fn verdict_and_mount_option_defaults_are_stable() {
     assert!(!opts.read_only);
     assert!(opts.follow_symlinks);
     assert_eq!(opts.max_link_depth, 16);
+
+    assert_eq!(PipelineConfig::default().backpressure, Backpressure::DegradeToInline);
 }
 
 /// The active-defense config surface: decoy registration and throttling

@@ -19,7 +19,7 @@
 use std::collections::BTreeSet;
 use std::sync::Once;
 
-use cryptodrop::{Backpressure, CryptoDrop, PipelineConfig, Session, Telemetry};
+use cryptodrop::{CryptoDrop, PipelineConfig, Session, Telemetry};
 use cryptodrop_recovery::ShadowConfig;
 use cryptodrop_vfs::{FaultPlan, ProcessId, VPath, Vfs, VfsError};
 use proptest::prelude::*;
@@ -156,11 +156,11 @@ fn baseline(seed: u64) -> BTreeSet<u32> {
     suspended_set(&fs, &[attacker, benign])
 }
 
-fn chaos_session(seed: u64, telemetry: Telemetry) -> Session {
-    // All four fault classes at once. The `*_at(0)` schedules make the
-    // very first decision at each site fire, so every degradation path is
-    // deterministically exercised regardless of the probability draws.
-    let plan = FaultPlan::seeded(seed)
+/// All four fault classes at once. The `*_at(0)` schedules make the very
+/// first decision at each site fire, so every degradation path is
+/// deterministically exercised regardless of the probability draws.
+fn chaos_plan(seed: u64) -> FaultPlan {
+    FaultPlan::seeded(seed)
         .io_error_probability(0.04)
         .io_error_at(0)
         .capture_failure_probability(0.10)
@@ -168,7 +168,10 @@ fn chaos_session(seed: u64, telemetry: Telemetry) -> Session {
         .worker_panic_probability(0.02)
         .worker_panic_at(0)
         .latency_spike_probability(0.02)
-        .latency_spike_at(0);
+        .latency_spike_at(0)
+}
+
+fn chaos_session(seed: u64, telemetry: Telemetry) -> Session {
     CryptoDrop::builder()
         .protecting("/docs")
         .telemetry(telemetry)
@@ -177,11 +180,10 @@ fn chaos_session(seed: u64, telemetry: Telemetry) -> Session {
             capacity: 32,
             workers: 2,
             max_batch: 8,
-            sync_deadline: std::time::Duration::from_millis(10),
-            backpressure: Backpressure::Sync,
+            ..PipelineConfig::default()
         })
         .recovery(ShadowConfig::default())
-        .faults(plan)
+        .faults(chaos_plan(seed))
         .build()
         .unwrap()
 }
@@ -266,26 +268,45 @@ fn chaos_seed_matrix() {
 }
 
 /// The same seed must produce the same verdicts and the same *injected*
-/// fault schedule on the deterministic (single-consumer) sites.
+/// fault schedule on the VFS sites. Inline, the attacker is suspended on
+/// the crossing operation, so it issues the same operations every run and
+/// the VFS sites (consumed from the test thread only) replay exactly.
 #[test]
 fn chaos_is_deterministic_per_seed() {
-    quiet_expected_panics();
     let run = |seed: u64| {
-        let telemetry = Telemetry::new(4 * 1024);
         let mut fs = staged_fs();
-        let session = chaos_session(seed, telemetry);
+        let session = CryptoDrop::builder()
+            .protecting("/docs")
+            .recovery(ShadowConfig::default())
+            .faults(chaos_plan(seed))
+            .build()
+            .unwrap();
         session.attach(&mut fs);
         let (attacker, benign) = run_attack(&mut fs, seed);
-        session.drain();
-        session.reconcile(&mut fs);
         let stats = session.fault_stats();
+        assert!(stats.io_errors >= 1 && stats.capture_failures >= 1);
         (
             suspended_set(&fs, &[attacker, benign]),
-            // Worker-site decision interleaving depends on thread timing;
-            // the VFS-driven sites are consumed from the test thread only
-            // and must replay exactly.
             (stats.io_errors, stats.capture_failures),
         )
+    };
+    assert_eq!(run(77), run(77));
+}
+
+/// Under the async pipeline the same seed must suspend the same set. The
+/// fault counts are not compared: a lagged suspension lets the attacker
+/// issue a timing-dependent number of extra operations, each drawing from
+/// the VFS sites, and worker-site draws depend on thread interleaving.
+#[test]
+fn async_chaos_replays_the_suspended_set() {
+    quiet_expected_panics();
+    let run = |seed: u64| {
+        let mut fs = staged_fs();
+        let session = chaos_session(seed, Telemetry::new(4 * 1024));
+        session.attach(&mut fs);
+        let (attacker, benign) = run_attack(&mut fs, seed);
+        session.reconcile(&mut fs);
+        suspended_set(&fs, &[attacker, benign])
     };
     assert_eq!(run(77), run(77));
 }
@@ -367,8 +388,7 @@ proptest! {
                 capacity: 16,
                 workers: 2,
                 max_batch: 4,
-                sync_deadline: std::time::Duration::from_millis(5),
-                backpressure: Backpressure::Sync,
+                ..PipelineConfig::default()
             })
             .recovery(ShadowConfig::default())
             .faults(plan)

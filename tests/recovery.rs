@@ -1,13 +1,11 @@
 //! End-to-end recovery ("Drop It") tests: attack replay with rollback,
 //! shadow budget accounting, and the restore-after-suspension property
-//! under randomized attacker/benign interleavings in both backpressure
-//! modes, with a roomy and a starved shadow budget.
+//! under randomized attacker/benign interleavings both inline and on the
+//! async pipeline, with a roomy and a starved shadow budget.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use cryptodrop::{
-    Backpressure, CryptoDrop, PipelineConfig, RecoveryConflict, Session, ShadowConfig,
-};
+use cryptodrop::{CryptoDrop, PipelineConfig, RecoveryConflict, Session, ShadowConfig};
 use cryptodrop_corpus::{Corpus, CorpusSpec};
 use cryptodrop_malware::{paper_sample_set, Family};
 use cryptodrop_simhash::content_fingerprint;
@@ -223,24 +221,20 @@ struct Outcome {
     evictions: u64,
 }
 
-/// Runs one randomized interleaving under the given backpressure mode and
-/// shadow budget.
-fn run_interleaving(seed: u64, backpressure: Backpressure, shadow: ShadowConfig) -> Outcome {
+/// Runs one randomized interleaving inline (`pipeline: None`) or on the
+/// given async pipeline, under the given shadow budget.
+fn run_interleaving(seed: u64, pipeline: Option<PipelineConfig>, shadow: ShadowConfig) -> Outcome {
     let mut fs = Vfs::new();
     let paths = seed_files(&mut fs);
     let seeded: HashMap<_, _> = paths
         .iter()
         .map(|p| (fs.admin().metadata(p).unwrap().file.unwrap(), p.clone()))
         .collect();
-    let session: Session = CryptoDrop::builder()
-        .protecting("/docs")
-        .pipeline_config(PipelineConfig {
-            backpressure,
-            ..PipelineConfig::default()
-        })
-        .recovery(shadow)
-        .build()
-        .unwrap();
+    let mut builder = CryptoDrop::builder().protecting("/docs").recovery(shadow);
+    if let Some(pcfg) = pipeline {
+        builder = builder.pipeline_config(pcfg);
+    }
+    let session: Session = builder.build().unwrap();
     session.attach(&mut fs);
 
     let originals = state_of(&mut fs);
@@ -369,7 +363,7 @@ fn model_expectation(seed: u64) -> BTreeMap<VPath, Vec<u8>> {
 }
 
 /// Property: after suspension + restore, the filesystem is byte-identical
-/// to the model under BOTH backpressure modes, for randomized
+/// to the model both inline and on the async pipeline, for randomized
 /// attacker/benign interleavings — detection latency (inline verdict vs
 /// deferred reconcile) must not change the recovered state.
 ///
@@ -382,14 +376,15 @@ fn restore_after_suspension_is_byte_identical_across_modes() {
     let (mut starved_evictions, mut starved_conflicts) = (0, 0);
     for seed in [3, 7, 0x5EED, 0xBEEF, 0xCAFE, 91, 2024, 0xD00D] {
         let expected = model_expectation(seed);
-        for backpressure in [Backpressure::Sync, Backpressure::DegradeToInline] {
-            let roomy = run_interleaving(seed, backpressure, ShadowConfig::default());
+        for pipeline in [None, Some(PipelineConfig::default())] {
+            let mode = if pipeline.is_some() { "async" } else { "inline" };
+            let roomy = run_interleaving(seed, pipeline, ShadowConfig::default());
             assert_eq!(
                 roomy.state, expected,
-                "seed {seed:#x}: {backpressure:?} state diverged from the model"
+                "seed {seed:#x}: {mode} state diverged from the model"
             );
 
-            let starved = run_interleaving(seed, backpressure, ShadowConfig::with_budget(4 * 1024));
+            let starved = run_interleaving(seed, pipeline, ShadowConfig::with_budget(4 * 1024));
             starved_evictions += starved.evictions;
             starved_conflicts += starved.evicted.len();
             let paths: BTreeSet<&VPath> = expected.keys().chain(starved.state.keys()).collect();
@@ -399,12 +394,12 @@ fn restore_after_suspension_is_byte_identical_across_modes() {
                 if starved.benign_last.contains(path) {
                     assert_eq!(
                         got, want,
-                        "seed {seed:#x}: {backpressure:?} lost the benign bytes of {path}"
+                        "seed {seed:#x}: {mode} lost the benign bytes of {path}"
                     );
                 } else {
                     assert!(
                         got == want || starved.evicted.contains(path),
-                        "seed {seed:#x}: {backpressure:?} left {path} wrong \
+                        "seed {seed:#x}: {mode} left {path} wrong \
                          without a ShadowEvicted conflict"
                     );
                 }
