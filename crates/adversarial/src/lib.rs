@@ -5,10 +5,9 @@
 //! originals as fast as it can. This crate asks the follow-up question an
 //! attacker would ask — *which indicator can I starve?* — and the question
 //! a deployment would ask — *which honest application looks worst?* Both
-//! sides are expressed as [`Workload`](cryptodrop_vfs::Workload)
-//! implementations, so the experiments runner, the fleet tenants, and the
-//! deception study drive them exactly like the 492 paper samples and the
-//! Figure 6 applications.
+//! sides are expressed as [`Workload`] implementations, so the experiments
+//! runner, the fleet tenants, and the deception study drive them exactly
+//! like the 492 paper samples and the Figure 6 applications.
 //!
 //! # Evasive strategies ([`evasive`])
 //!

@@ -48,10 +48,11 @@ pub trait BenignApp: Send {
     fn run(&self, fs: &mut Vfs, pid: ProcessId, docs: &VPath, rng: &mut StdRng) -> VfsResult<()>;
 }
 
-/// Every benign application is a [`Workload`]: staging and the run share
-/// one RNG stream seeded from the context (byte-identical to the historic
-/// `stage`-then-`run` harness path — staging uses unfiltered admin writes,
-/// so running it inside `drive` never scores).
+/// Every benign application is a [`Workload`](cryptodrop_vfs::Workload):
+/// staging and the run share one RNG stream seeded from the context
+/// (byte-identical to the historic `stage`-then-`run` harness path —
+/// staging uses unfiltered admin writes, so running it inside `drive`
+/// never scores).
 impl cryptodrop_vfs::Workload for Box<dyn BenignApp> {
     fn name(&self) -> String {
         BenignApp::name(self.as_ref()).to_string()

@@ -69,9 +69,10 @@ impl DecayPolicy {
                 if age_nanos >= window_nanos {
                     0
                 } else {
-                    // points × (window − age) / window, in u64 to avoid
+                    // points × (window − age) / window, in u128 to avoid
                     // overflow; result fits u32 since the ratio is ≤ 1.
-                    (u64::from(points) * (window_nanos - age_nanos) / window_nanos) as u32
+                    (u128::from(points) * u128::from(window_nanos - age_nanos)
+                        / u128::from(window_nanos)) as u32
                 }
             }
             DecayPolicy::HalfLife { half_life_nanos } => {
@@ -133,17 +134,16 @@ pub struct ScoreConfig {
     /// The read-minus-written distinct-type gap per funneling award
     /// (§III-D: "the difference of these can be assigned a threshold").
     pub funnel_gap: u32,
-    /// Enable the write-burst time-window indicator (future work in the
-    /// paper, §V-F; off by default — "monitoring any time window presents
-    /// an evasion opportunity").
-    pub burst_enabled: bool,
-    /// The burst window in simulated nanoseconds.
+    /// The write-burst window in simulated nanoseconds (the burst
+    /// indicator is future work in the paper, §V-F).
     pub burst_window_nanos: u64,
     /// Files modified within the window tolerated before burst scoring.
     pub burst_threshold: u32,
-    /// Points per modified file beyond the burst threshold. Zero
-    /// disables the burst indicator entirely (no window bookkeeping, no
-    /// 0-point audit hits), matching the other indicators' semantics.
+    /// Points per modified file beyond the burst threshold. Zero (the
+    /// default — "monitoring any time window presents an evasion
+    /// opportunity", §V-F) disables the burst indicator entirely (no
+    /// window bookkeeping, no 0-point audit hits), matching the other
+    /// indicators' semantics.
     pub points_burst: u32,
     /// How awarded points age out of threshold checks over simulated
     /// time. [`DecayPolicy::None`] (the default) reproduces the paper's
@@ -168,10 +168,9 @@ impl Default for ScoreConfig {
             deletion_allowance: 2,
             funnel_gap: 5,
             entropy_full_weight_bytes: 4096,
-            burst_enabled: false,
             burst_window_nanos: 10_000_000_000, // 10 simulated seconds
             burst_threshold: 30,
-            points_burst: 5,
+            points_burst: 0,
             decay: DecayPolicy::None,
         }
     }
@@ -260,39 +259,48 @@ pub struct Config {
     /// entirely. Reads are allowed (enumeration tools list decoys
     /// without tripping them). Empty (no decoys) by default.
     pub decoy_paths: Vec<VPath>,
-    /// Enable reputation-driven operation throttling: once a family's
-    /// score reaches [`Config::throttle_score`], each destructive
-    /// in-scope operation it issues is delayed on the simulated clock by
-    /// `score × throttle_nanos_per_point`, stretching the time budget an
-    /// attacker needs to do damage while the scoreboard converges.
-    /// Off by default.
-    pub throttle_enabled: bool,
+    /// Reputation-driven operation throttling; see [`ThrottlePolicy`].
+    /// `None` (off) by default.
+    pub throttle: Option<ThrottlePolicy>,
+    /// Per-family first-modification rate budgets; see [`RateBudget`].
+    /// `None` (off) by default.
+    pub rate_budget: Option<RateBudget>,
+}
+
+/// Reputation-driven operation throttling: once a family's score reaches
+/// [`ThrottlePolicy::score`], each destructive in-scope operation it
+/// issues is delayed on the simulated clock by `score × nanos_per_point`
+/// (saturating), stretching the time budget an attacker needs to do
+/// damage while the scoreboard converges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ThrottlePolicy {
     /// Family score at which throttling engages. Set well below the
     /// detection threshold so slowdown starts during the suspicion
     /// window, not after suspension.
-    pub throttle_score: u32,
+    pub score: u32,
     /// Simulated-clock delay per reputation point per throttled
     /// operation, in nanoseconds.
-    pub throttle_nanos_per_point: u64,
-    /// Enable per-family first-modification rate budgets: each family
-    /// holds a token bucket of [`Config::rate_budget_capacity`] tokens
-    /// that refills one token per
-    /// [`Config::rate_refill_nanos_per_token`] simulated nanoseconds.
-    /// Every *first* modification of a distinct file draws a token; once
-    /// the bucket runs dry, each destructive in-scope operation the
-    /// family issues is additionally delayed by
-    /// [`Config::rate_throttle_nanos`] on the simulated clock, composing
-    /// with reputation throttling above. Unlike the fixed burst window,
-    /// a budget punishes *sustained* rate: an attacker pacing just under
-    /// the window threshold still drains the bucket. Off by default.
-    pub rate_budget_enabled: bool,
+    pub nanos_per_point: u64,
+}
+
+/// A per-family first-modification rate budget: each family holds a token
+/// bucket of [`RateBudget::capacity`] tokens that refills one token per
+/// [`RateBudget::refill_nanos_per_token`] simulated nanoseconds. Every
+/// *first* modification of a distinct file draws a token; once the bucket
+/// runs dry, each destructive in-scope operation the family issues is
+/// additionally delayed by [`RateBudget::throttle_nanos`] on the simulated
+/// clock, composing with [`ThrottlePolicy`]. Unlike the fixed burst
+/// window, a budget punishes *sustained* rate: an attacker pacing just
+/// under the window threshold still drains the bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RateBudget {
     /// Tokens a family's bucket holds when full (and starts with).
-    pub rate_budget_capacity: u32,
+    pub capacity: u32,
     /// Simulated nanoseconds to refill one token.
-    pub rate_refill_nanos_per_token: u64,
+    pub refill_nanos_per_token: u64,
     /// Simulated-clock delay per destructive in-scope operation while a
     /// family's bucket is dry, in nanoseconds.
-    pub rate_throttle_nanos: u64,
+    pub throttle_nanos: u64,
 }
 
 impl Config {
@@ -311,13 +319,8 @@ impl Config {
             fingerprint_cache: true,
             incremental_analysis: true,
             decoy_paths: Vec::new(),
-            throttle_enabled: false,
-            throttle_score: 100,
-            throttle_nanos_per_point: 1_000_000,
-            rate_budget_enabled: false,
-            rate_budget_capacity: 24,
-            rate_refill_nanos_per_token: 2_000_000_000, // 2 simulated seconds
-            rate_throttle_nanos: 250_000_000,           // 250 simulated ms
+            throttle: None,
+            rate_budget: None,
         }
     }
 
@@ -348,28 +351,29 @@ impl Config {
     }
 
     /// Enables reputation-driven throttling (builder-style) with the
-    /// given engage score and per-point delay. See
-    /// [`Config::throttle_enabled`].
+    /// given engage score and per-point delay. See [`ThrottlePolicy`].
     pub fn with_throttling(mut self, score: u32, nanos_per_point: u64) -> Self {
-        self.throttle_enabled = true;
-        self.throttle_score = score;
-        self.throttle_nanos_per_point = nanos_per_point;
+        self.throttle = Some(ThrottlePolicy {
+            score,
+            nanos_per_point,
+        });
         self
     }
 
     /// Enables per-family first-modification rate budgets (builder-style)
     /// with the given bucket capacity, refill interval, and dry-bucket
-    /// per-operation delay. See [`Config::rate_budget_enabled`].
+    /// per-operation delay. See [`RateBudget`].
     pub fn with_rate_budget(
         mut self,
         capacity: u32,
         refill_nanos_per_token: u64,
         throttle_nanos: u64,
     ) -> Self {
-        self.rate_budget_enabled = true;
-        self.rate_budget_capacity = capacity;
-        self.rate_refill_nanos_per_token = refill_nanos_per_token;
-        self.rate_throttle_nanos = throttle_nanos;
+        self.rate_budget = Some(RateBudget {
+            capacity,
+            refill_nanos_per_token,
+            throttle_nanos,
+        });
         self
     }
 
@@ -415,7 +419,7 @@ mod tests {
     fn decoys_and_throttle_defaults_off() {
         let cfg = Config::protecting("/docs");
         assert!(cfg.decoy_paths.is_empty());
-        assert!(!cfg.throttle_enabled);
+        assert_eq!(cfg.throttle, None);
         assert!(!cfg.is_decoy(&VPath::new("/docs/passwords.xlsx")));
 
         let cfg = cfg
@@ -423,16 +427,20 @@ mod tests {
             .with_throttling(80, 2_000_000);
         assert!(cfg.is_decoy(&VPath::new("/docs/passwords.xlsx")));
         assert!(!cfg.is_decoy(&VPath::new("/docs/other.xlsx")));
-        assert!(cfg.throttle_enabled);
-        assert_eq!(cfg.throttle_score, 80);
-        assert_eq!(cfg.throttle_nanos_per_point, 2_000_000);
+        assert_eq!(
+            cfg.throttle,
+            Some(ThrottlePolicy {
+                score: 80,
+                nanos_per_point: 2_000_000
+            })
+        );
     }
 
     #[test]
     fn decay_and_rate_budget_default_off() {
         let cfg = Config::protecting("/docs");
         assert!(cfg.score.decay.is_none());
-        assert!(!cfg.rate_budget_enabled);
+        assert_eq!(cfg.rate_budget, None);
 
         let cfg = cfg
             .with_decay(DecayPolicy::HalfLife {
@@ -440,10 +448,14 @@ mod tests {
             })
             .with_rate_budget(10, 1_000_000_000, 100_000_000);
         assert!(!cfg.score.decay.is_none());
-        assert!(cfg.rate_budget_enabled);
-        assert_eq!(cfg.rate_budget_capacity, 10);
-        assert_eq!(cfg.rate_refill_nanos_per_token, 1_000_000_000);
-        assert_eq!(cfg.rate_throttle_nanos, 100_000_000);
+        assert_eq!(
+            cfg.rate_budget,
+            Some(RateBudget {
+                capacity: 10,
+                refill_nanos_per_token: 1_000_000_000,
+                throttle_nanos: 100_000_000
+            })
+        );
     }
 
     #[test]
@@ -452,6 +464,9 @@ mod tests {
             DecayPolicy::None,
             DecayPolicy::Window { window_nanos: 100 },
             DecayPolicy::Linear { window_nanos: 100 },
+            DecayPolicy::Linear {
+                window_nanos: u64::MAX,
+            },
             DecayPolicy::HalfLife {
                 half_life_nanos: 100,
             },
@@ -469,6 +484,9 @@ mod tests {
             DecayPolicy::None,
             DecayPolicy::Window { window_nanos: 977 },
             DecayPolicy::Linear { window_nanos: 977 },
+            DecayPolicy::Linear {
+                window_nanos: u64::MAX,
+            },
             DecayPolicy::HalfLife {
                 half_life_nanos: 977,
             },

@@ -16,11 +16,11 @@
 //!
 //! The engine's state is split into independently locked shards so that
 //! several [`Vfs`](cryptodrop_vfs::Vfs) instances (one per OS thread, see
-//! [`CryptoDrop::fork`]) can drive one shared scoreboard without
-//! contending unless they actually touch the same process family, path, or
-//! file. Snapshots are keyed by a 64-bit content fingerprint so re-opening
-//! or re-closing a file whose bytes have not changed skips the expensive
-//! sniff/sdhash/entropy recompute entirely; see `DESIGN.md` ("Engine
+//! [`Session::fork`](crate::Session::fork)) can drive one shared
+//! scoreboard without contending unless they actually touch the same
+//! process family, path, or file. Snapshots are keyed by a 64-bit content
+//! fingerprint so re-opening or re-closing a file whose bytes have not
+//! changed skips the expensive sniff/sdhash/entropy recompute entirely; see `DESIGN.md` ("Engine
 //! concurrency & caching") for the shard layout and cache invariants.
 
 use std::borrow::Cow;
@@ -526,41 +526,13 @@ pub struct Monitor {
 impl CryptoDrop {
     /// Starts building a [`Session`](crate::Session): the one entry point
     /// for configuring, validating, and running a detector — inline or
-    /// pipelined. Subsumes the deprecated `new`/`new_with_telemetry`/
-    /// `fork`/`fork_engine` constructors.
+    /// pipelined.
     pub fn builder() -> crate::session::SessionBuilder {
         crate::session::SessionBuilder::new()
     }
 
-    /// Creates an engine and its monitor handle, with telemetry disabled
-    /// (the observability hooks cost one predicted-false branch each).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        note = "use `CryptoDrop::builder()....build()` for a validated Session; \
-                register `Session::fork()` and read through the session's Monitor view"
-    )]
-    pub fn new(config: Config) -> (CryptoDrop, Monitor) {
-        Self::with_telemetry_inner(config, Telemetry::disabled())
-    }
-
-    /// Creates an engine wired to a [`Telemetry`] handle. When the handle
-    /// is enabled, the engine records per-indicator evaluation timings and
-    /// fire counts into its metric registry and journals every indicator
-    /// contribution, suspension, and cache anomaly — the raw material for
-    /// [`Monitor::audit_trail`] and the experiment telemetry summaries.
-    /// Share the same handle with `cryptodrop_vfs::Vfs::set_telemetry` to
-    /// interleave the filter's op/verdict events with the engine's on one
-    /// timeline.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        note = "use `CryptoDrop::builder().telemetry(..)....build()` for a validated Session"
-    )]
-    pub fn new_with_telemetry(config: Config, telemetry: Telemetry) -> (CryptoDrop, Monitor) {
-        Self::with_telemetry_inner(config, telemetry)
-    }
-
-    /// The non-deprecated construction path behind both the builder and
-    /// the legacy shims. Does **not** validate `config`; the builder does.
+    /// Creates an engine wired to a [`Telemetry`] handle — the builder's
+    /// construction path. Does **not** validate `config`; the builder does.
     pub(crate) fn with_telemetry_inner(
         config: Config,
         telemetry: Telemetry,
@@ -580,16 +552,7 @@ impl CryptoDrop {
     }
 
     /// Creates another driver over the same scoreboard, snapshot cache,
-    /// and detection log. Register forks on additional
-    /// [`Vfs`](cryptodrop_vfs::Vfs) instances — one per thread — to share
-    /// one engine across concurrent filesystems; unrelated process
-    /// families never contend on a lock (they hash to distinct shards).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Session::fork()`; forks made there also carry the pipeline handle")]
-    pub fn fork(&self) -> CryptoDrop {
-        self.fork_inner()
-    }
-
+    /// detection log, pipeline and shadow attachments.
     pub(crate) fn fork_inner(&self) -> CryptoDrop {
         CryptoDrop {
             cfg: Arc::clone(&self.cfg),
@@ -660,20 +623,9 @@ impl Monitor {
         &self.cfg
     }
 
-    /// Creates a filter driver over this monitor's engine state, for
-    /// registering the same engine on further
-    /// [`Vfs`](cryptodrop_vfs::Vfs) instances.
-    ///
-    /// Forks made here never carry a pipeline attachment — they process
-    /// inline even when the session is pipelined, which silently forfeits
-    /// the pipeline's benefits. Prefer [`Session::fork`](crate::Session::fork).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Session::fork()`; forks made there also carry the pipeline handle")]
-    pub fn fork_engine(&self) -> CryptoDrop {
-        self.fork_engine_inner()
-    }
-
-    #[cfg(any(test, feature = "legacy-api"))]
+    /// A filter driver over this monitor's engine state with no pipeline
+    /// or shadow attachment.
+    #[cfg(test)]
     pub(crate) fn fork_engine_inner(&self) -> CryptoDrop {
         CryptoDrop {
             cfg: Arc::clone(&self.cfg),
@@ -770,7 +722,8 @@ impl Monitor {
     }
 
     /// The telemetry handle the engine was constructed with (a disabled
-    /// stub unless [`CryptoDrop::new_with_telemetry`] was used).
+    /// stub unless [`SessionBuilder::telemetry`](crate::SessionBuilder::telemetry)
+    /// was used).
     pub fn telemetry(&self) -> &Telemetry {
         &self.shared.telemetry
     }
@@ -1349,23 +1302,24 @@ impl CryptoDrop {
     /// Time-axis throttling (pre-operation), two composable components:
     ///
     /// * **Reputation throttling** — once a family's (decayed) score has
-    ///   reached [`Config::throttle_score`], each destructive in-scope
-    ///   operation is delayed proportionally to the score.
+    ///   reached [`ThrottlePolicy::score`](crate::ThrottlePolicy::score),
+    ///   each destructive in-scope operation is delayed proportionally to
+    ///   the score.
     /// * **Rate-budget throttling** — while the family's
     ///   first-modification token bucket is dry
-    ///   ([`Config::rate_budget_enabled`]), each destructive in-scope
-    ///   operation is additionally delayed by
-    ///   [`Config::rate_throttle_nanos`]. Unlike reputation throttling
-    ///   this engages on *behavioral rate* alone, before any indicator
-    ///   has scored — the budget is drawn down by the Write analysis
-    ///   path (see `RecordBody::Write`) and refilled here against the
-    ///   operation's simulated time.
+    ///   ([`Config::rate_budget`]), each destructive in-scope operation is
+    ///   additionally delayed by
+    ///   [`RateBudget::throttle_nanos`](crate::RateBudget::throttle_nanos).
+    ///   Unlike reputation throttling this engages on *behavioral rate*
+    ///   alone, before any indicator has scored — the budget is drawn
+    ///   down by the Write analysis path (see `RecordBody::Write`) and
+    ///   refilled here against the operation's simulated time.
     ///
     /// The delays add; returns `None` when the operation should proceed
     /// undelayed.
     fn throttle_verdict(&self, ctx: &OpContext<'_>, key: ProcessId) -> Option<Verdict> {
         let cfg = &self.cfg;
-        if !cfg.throttle_enabled && !cfg.rate_budget_enabled {
+        if cfg.throttle.is_none() && cfg.rate_budget.is_none() {
             return None;
         }
         let in_scope = match ctx.op {
@@ -1387,33 +1341,34 @@ impl CryptoDrop {
             match fam.processes.get_mut(&key) {
                 Some(st) => (
                     st.decayed_score(&cfg.score, ctx.at_nanos),
-                    cfg.rate_budget_enabled
-                        && st.rate_refill(
+                    cfg.rate_budget.is_some_and(|budget| {
+                        st.rate_refill(
                             ctx.at_nanos,
-                            cfg.rate_budget_capacity,
-                            cfg.rate_refill_nanos_per_token,
-                        ) == 0,
+                            budget.capacity,
+                            budget.refill_nanos_per_token,
+                        ) == 0
+                    }),
                 ),
                 // A never-seen family has a full bucket and no score.
                 None => (0, false),
             }
         };
         let mut delay = 0u64;
-        if cfg.throttle_enabled && score >= cfg.throttle_score {
-            delay = u64::from(score) * cfg.throttle_nanos_per_point;
+        if let Some(throttle) = cfg.throttle.filter(|t| score >= t.score) {
+            delay = u64::from(score).saturating_mul(throttle.nanos_per_point);
             if self.shared.telemetry.is_enabled() {
                 self.shared.metrics.throttled_ops.inc();
             }
         }
-        if rate_dry {
-            delay = delay.saturating_add(cfg.rate_throttle_nanos);
+        if let Some(budget) = cfg.rate_budget.filter(|_| rate_dry) {
+            delay = delay.saturating_add(budget.throttle_nanos);
             if self.shared.telemetry.is_enabled() {
                 self.shared.metrics.rate_throttled.inc();
                 self.shared
                     .telemetry
                     .journal_event(ctx.at_nanos, key.0, || JournalKind::RateBudget {
                         tokens: 0,
-                        delay_nanos: cfg.rate_throttle_nanos,
+                        delay_nanos: budget.throttle_nanos,
                     });
             }
         }
@@ -1908,14 +1863,11 @@ impl CryptoDrop {
                 // indicator entirely — no window bookkeeping, no 0-point
                 // hits — matching the other indicators' zeroed-points
                 // semantics.
-                let burst_on = cfg.score.burst_enabled && cfg.score.points_burst > 0;
-                if (burst_on || cfg.rate_budget_enabled) && st.first_modification(*file) {
-                    if cfg.rate_budget_enabled {
-                        let drawn = st.rate_consume(
-                            at,
-                            cfg.rate_budget_capacity,
-                            cfg.rate_refill_nanos_per_token,
-                        );
+                let burst_on = cfg.score.points_burst > 0;
+                if (burst_on || cfg.rate_budget.is_some()) && st.first_modification(*file) {
+                    if let Some(budget) = cfg.rate_budget {
+                        let drawn =
+                            st.rate_consume(at, budget.capacity, budget.refill_nanos_per_token);
                         if self.shared.telemetry.is_enabled() {
                             if drawn {
                                 self.shared.metrics.rate_consumed.inc();
@@ -2477,8 +2429,7 @@ mod tests {
 
     const DOCS: &str = "/Users/victim/Documents";
 
-    /// Test-local stand-in for the legacy `CryptoDrop::new` (gated behind
-    /// the `legacy-api` feature): the same unvalidated construction path.
+    /// An engine over `cfg` without the builder's validation.
     fn new_engine(cfg: Config) -> (CryptoDrop, Monitor) {
         CryptoDrop::with_telemetry_inner(cfg, Telemetry::disabled())
     }
@@ -2874,7 +2825,7 @@ mod tests {
         let run = |think: bool| -> (bool, u32) {
             let (mut fs, monitor) = setup(40);
             let mut cfg = Config::protecting(DOCS);
-            cfg.score.burst_enabled = true;
+            cfg.score.points_burst = 5;
             cfg.score.burst_threshold = 5;
             // Swap in a burst-enabled engine.
             let _ = fs.take_filters();
@@ -2910,13 +2861,11 @@ mod tests {
 
     #[test]
     fn zeroed_burst_points_disable_the_indicator_entirely() {
-        // `burst_enabled` with `points_burst == 0` used to run the whole
-        // window bookkeeping and award 0-point hits, polluting audits and
-        // eval timers; zeroed points must disable the indicator outright,
+        // Zeroed points must disable the indicator outright — no window
+        // bookkeeping, no 0-point hits polluting audits and eval timers —
         // matching the entropy/type-change/similarity semantics.
         let (mut fs, monitor) = setup(40);
         let mut cfg = Config::protecting(DOCS);
-        cfg.score.burst_enabled = true;
         cfg.score.burst_threshold = 2;
         cfg.score.points_burst = 0;
         let _ = fs.take_filters();
@@ -3760,33 +3709,46 @@ mod tests {
         assert!(monitor.detections().is_empty());
     }
 
+    /// Runs a Class A attack over 60 staged text files under `cfg`:
+    /// (final simulated clock, attacker suspended).
+    fn class_a_clock(cfg: Config) -> (u64, bool) {
+        let mut fs = Vfs::new();
+        let docs = VPath::new(DOCS);
+        for i in 0..60 {
+            let path = docs.join(format!("dir{}/file{i}.txt", i % 3));
+            fs.admin().write_file(&path, &text_content(i as u32, 4096)).unwrap();
+        }
+        let (engine, _monitor) = new_engine(cfg);
+        fs.register_filter(Box::new(engine));
+        let pid = fs.spawn_process("cryptolocker.exe");
+        run_class_a(&mut fs, pid);
+        (fs.clock().now_nanos(), fs.is_suspended(pid))
+    }
+
     #[test]
     fn throttling_stretches_the_suspects_clock() {
-        let run = |throttle: bool| -> (u64, bool) {
-            let mut fs = Vfs::new();
-            let docs = VPath::new(DOCS);
-            for i in 0..60 {
-                let path = docs.join(format!("dir{}/file{i}.txt", i % 3));
-                fs.admin().write_file(&path, &text_content(i as u32, 4096)).unwrap();
-            }
-            let mut cfg = Config::protecting(DOCS);
-            if throttle {
-                cfg = cfg.with_throttling(30, 1_000_000);
-            }
-            let (engine, _monitor) = new_engine(cfg);
-            fs.register_filter(Box::new(engine));
-            let pid = fs.spawn_process("cryptolocker.exe");
-            run_class_a(&mut fs, pid);
-            (fs.clock().now_nanos(), fs.is_suspended(pid))
-        };
-        let (base_nanos, base_caught) = run(false);
-        let (throttled_nanos, throttled_caught) = run(true);
+        let (base_nanos, base_caught) = class_a_clock(Config::protecting(DOCS));
+        let (throttled_nanos, throttled_caught) =
+            class_a_clock(Config::protecting(DOCS).with_throttling(30, 1_000_000));
         assert!(base_caught && throttled_caught);
         assert!(
             throttled_nanos > base_nanos,
             "throttling must cost the suspect simulated time: \
              {throttled_nanos} vs {base_nanos}"
         );
+    }
+
+    #[test]
+    fn throttle_delay_saturates_instead_of_overflowing() {
+        // `score × nanos_per_point` beyond u64::MAX must saturate: an
+        // unchecked product panics in debug builds and wraps in release,
+        // where every even score × 2^63 is a 0 ns delay (throttling off).
+        for nanos_per_point in [u64::MAX, 1 << 63] {
+            let cfg = Config::protecting(DOCS).with_throttling(1, nanos_per_point);
+            let (clock, caught) = class_a_clock(cfg);
+            assert!(caught, "nanos_per_point {nanos_per_point}");
+            assert_eq!(clock, u64::MAX, "nanos_per_point {nanos_per_point}");
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use audit::{AuditEntry, AuditTrail};
 pub use baseline::{
     BaselineAlert, EntropyOnlyDetector, EntropyOnlyHandle, IntegrityHandle, IntegrityMonitor,
 };
-pub use config::{Config, DecayPolicy, ScoreConfig};
+pub use config::{Config, DecayPolicy, RateBudget, ScoreConfig, ThrottlePolicy};
 pub use cryptodrop_recovery::{
     RecoveryAction, RecoveryConflict, RecoveryPlan, RecoveryReport, ShadowConfig, ShadowStats,
     ShadowStore,
@@ -105,7 +105,7 @@ pub use state::{FileSnapshot, ProcessState, ProcessSummary};
 /// Everything a typical embedding needs, in one import:
 /// `use cryptodrop::prelude::*;`.
 pub mod prelude {
-    pub use crate::config::{Config, DecayPolicy, ScoreConfig};
+    pub use crate::config::{Config, DecayPolicy, RateBudget, ScoreConfig, ThrottlePolicy};
     pub use crate::engine::{CryptoDrop, DetectionReport, Monitor};
     pub use crate::pipeline::{Backpressure, PipelineConfig, PipelineStats};
     pub use crate::session::{ConfigError, Session, SessionBuilder};

@@ -4,7 +4,7 @@
 //! Interposition callbacks stay on the verdict-critical fast path (family
 //! gate, scope checks, content capture) and hand the heavy indicator work
 //! — sniff, sdhash, entropy, score awards — to this pipeline as
-//! [`OpRecord`](crate::record::OpRecord)s. Records are distributed over
+//! `OpRecord`s. Records are distributed over
 //! bounded per-shard FIFO queues keyed by process family (matching the
 //! engine's lock shards), so one family's records are always processed in
 //! order while unrelated families flow in parallel. A worker pool drains
@@ -33,7 +33,7 @@
 //!
 //! * **Worker panics** (real bugs or injected via
 //!   [`FaultPlan::worker_panic_probability`](cryptodrop_vfs::FaultPlan))
-//!   unwind out of [`PipelineShared::worker_loop`]; a drop guard requeues
+//!   unwind out of `PipelineShared::worker_loop`; a drop guard requeues
 //!   the interrupted batch at the front of its shard (FIFO preserved,
 //!   nothing lost) and the session's respawn wrapper restarts the worker,
 //!   counted in [`PipelineStats::worker_restarts`]. A record that keeps

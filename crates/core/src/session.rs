@@ -1,14 +1,12 @@
 //! The unified `Session` detector API.
 //!
 //! [`CryptoDrop::builder`] → [`SessionBuilder`] → [`Session`] is the one
-//! entry point for configuring, validating, and running a detector. It
-//! subsumes the deprecated `CryptoDrop::new` / `new_with_telemetry` /
-//! `fork` / `Monitor::fork_engine` constructors: the builder validates the
-//! configuration up front (returning a typed [`ConfigError`] instead of
-//! silently accepting a detector that can never fire), and the session
-//! decides — by configuration, not by call site — whether analysis runs
-//! inline in the filter callbacks or on the async batched
-//! [pipeline](crate::pipeline).
+//! entry point for configuring, validating, and running a detector: the
+//! builder validates the configuration up front (returning a typed
+//! [`ConfigError`] instead of silently accepting a detector that can never
+//! fire), and the session decides — by configuration, not by call site —
+//! whether analysis runs inline in the filter callbacks or on the async
+//! batched [pipeline](crate::pipeline).
 //!
 //! ```
 //! use cryptodrop::CryptoDrop;
@@ -37,7 +35,7 @@ use cryptodrop_recovery::{RecoveryReport, ShadowConfig, ShadowStore};
 use cryptodrop_telemetry::Telemetry;
 use cryptodrop_vfs::{FaultInjector, FaultPlan, FaultStats, ProcessId, VPath, Vfs};
 
-use crate::config::{Config, DecayPolicy, ScoreConfig};
+use crate::config::{Config, DecayPolicy, RateBudget};
 use crate::engine::{CryptoDrop, Monitor};
 use crate::pipeline::{PipelineConfig, PipelineShared, PipelineStats};
 
@@ -74,18 +72,18 @@ pub enum ConfigError {
     /// A recovery shadow store with a zero byte budget could never hold a
     /// single pre-image: every capture would be evicted on arrival.
     ZeroShadowBudget,
-    /// Throttling enabled with an engage score of zero would delay every
-    /// process — including fully benign ones at score 0 — on every
-    /// destructive in-scope operation.
+    /// A [`ThrottlePolicy`](crate::ThrottlePolicy) with an engage score of
+    /// zero would delay every process — including fully benign ones at
+    /// score 0 — on every destructive in-scope operation.
     ZeroThrottleScore,
     /// A decay policy with a zero time parameter would age every award
     /// out instantly: the scoreboard could never accumulate anything.
     /// Carries the offending field name.
     ZeroDecayParam(&'static str),
-    /// A rate-budget parameter of zero would either throttle every
-    /// family from its first modification (zero capacity) or make the
-    /// budget meaningless (zero refill interval or zero delay). Carries
-    /// the offending field name.
+    /// A [`RateBudget`] field of zero would either throttle every family
+    /// from its first modification (zero capacity) or make the budget
+    /// meaningless (zero refill interval or zero delay). Carries the
+    /// offending field name.
     ZeroRateBudgetParam(&'static str),
 }
 
@@ -124,8 +122,8 @@ impl fmt::Display for ConfigError {
             Self::ZeroThrottleScore => {
                 write!(
                     f,
-                    "throttle_score must be nonzero when throttling is enabled: \
-                     zero would delay every process from its first operation"
+                    "throttle score must be nonzero: zero would delay every \
+                     process from its first operation"
                 )
             }
             Self::ZeroDecayParam(which) => {
@@ -136,11 +134,7 @@ impl fmt::Display for ConfigError {
                 )
             }
             Self::ZeroRateBudgetParam(which) => {
-                write!(
-                    f,
-                    "rate budget {which} must be nonzero when the rate budget is \
-                     enabled"
-                )
+                write!(f, "rate budget {which} must be nonzero")
             }
         }
     }
@@ -179,7 +173,7 @@ pub(crate) fn validate(config: &Config) -> Result<(), ConfigError> {
     if config.max_digest_bytes == 0 {
         return Err(ConfigError::ZeroMaxDigestBytes);
     }
-    if config.throttle_enabled && config.throttle_score == 0 {
+    if config.throttle.is_some_and(|t| t.score == 0) {
         return Err(ConfigError::ZeroThrottleScore);
     }
     match s.decay {
@@ -195,17 +189,20 @@ pub(crate) fn validate(config: &Config) -> Result<(), ConfigError> {
             }
         }
     }
-    if config.rate_budget_enabled {
-        if config.rate_budget_capacity == 0 {
-            return Err(ConfigError::ZeroRateBudgetParam("rate_budget_capacity"));
+    if let Some(RateBudget {
+        capacity,
+        refill_nanos_per_token,
+        throttle_nanos,
+    }) = config.rate_budget
+    {
+        if capacity == 0 {
+            return Err(ConfigError::ZeroRateBudgetParam("capacity"));
         }
-        if config.rate_refill_nanos_per_token == 0 {
-            return Err(ConfigError::ZeroRateBudgetParam(
-                "rate_refill_nanos_per_token",
-            ));
+        if refill_nanos_per_token == 0 {
+            return Err(ConfigError::ZeroRateBudgetParam("refill_nanos_per_token"));
         }
-        if config.rate_throttle_nanos == 0 {
-            return Err(ConfigError::ZeroRateBudgetParam("rate_throttle_nanos"));
+        if throttle_nanos == 0 {
+            return Err(ConfigError::ZeroRateBudgetParam("throttle_nanos"));
         }
     }
     Ok(())
@@ -233,15 +230,10 @@ fn validate_pipeline(cfg: &PipelineConfig) -> Result<(), ConfigError> {
 pub struct SessionBuilder {
     config: Option<Config>,
     protected: Vec<VPath>,
-    score: Option<ScoreConfig>,
     telemetry: Option<Telemetry>,
     pipeline: Option<PipelineConfig>,
     recovery: Option<ShadowConfig>,
     faults: Option<FaultPlan>,
-    decoys: Vec<VPath>,
-    throttle: Option<(u32, u64)>,
-    rate_budget: Option<(u32, u64, u64)>,
-    decay: Option<DecayPolicy>,
     deterministic_clock: bool,
 }
 
@@ -257,17 +249,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Starts from a complete [`Config`] instead of the defaults.
-    /// Directories added with [`protecting`](Self::protecting) and a score
-    /// set with [`score`](Self::score) still apply on top.
+    /// Starts from a complete [`Config`] instead of the defaults — the
+    /// one place to set scoring, decoys, throttling, rate budgets and
+    /// decay (see the `Config::with_*` helpers). Directories added with
+    /// [`protecting`](Self::protecting) still apply on top.
     pub fn config(mut self, config: Config) -> Self {
         self.config = Some(config);
-        self
-    }
-
-    /// Replaces the scoring parameters.
-    pub fn score(mut self, score: ScoreConfig) -> Self {
-        self.score = Some(score);
         self
     }
 
@@ -305,52 +292,6 @@ impl SessionBuilder {
     /// [`Session::reconcile_and_restore`]).
     pub fn recovery(mut self, config: ShadowConfig) -> Self {
         self.recovery = Some(config);
-        self
-    }
-
-    /// Registers decoy (bait) files on top of any base
-    /// [`config`](Self::config): any destructive operation on one is an
-    /// instant maximum-confidence detection (see
-    /// [`Config::decoy_paths`]). May be called repeatedly; decoys
-    /// accumulate. Pair with
-    /// [`Corpus::decoy_paths`](../cryptodrop_corpus/index.html) or any
-    /// other source of bait paths, and keep the files themselves staged
-    /// in the filesystem so enumeration finds them.
-    pub fn decoys(mut self, decoys: impl IntoIterator<Item = VPath>) -> Self {
-        self.decoys.extend(decoys);
-        self
-    }
-
-    /// Enables reputation-driven throttling: once a family's score
-    /// reaches `score`, each destructive in-scope operation it issues is
-    /// delayed on the simulated clock by `score × nanos_per_point` (see
-    /// [`Config::throttle_enabled`]).
-    pub fn throttling(mut self, score: u32, nanos_per_point: u64) -> Self {
-        self.throttle = Some((score, nanos_per_point));
-        self
-    }
-
-    /// Enables per-family first-modification rate budgets: a token
-    /// bucket of `capacity` tokens per family, refilling one token per
-    /// `refill_nanos_per_token` of simulated time; while a family's
-    /// bucket is dry, each destructive in-scope operation it issues is
-    /// delayed by `throttle_nanos` on the simulated clock (composing
-    /// with [`throttling`](Self::throttling)). See
-    /// [`Config::rate_budget_enabled`].
-    pub fn rate_budget(
-        mut self,
-        capacity: u32,
-        refill_nanos_per_token: u64,
-        throttle_nanos: u64,
-    ) -> Self {
-        self.rate_budget = Some((capacity, refill_nanos_per_token, throttle_nanos));
-        self
-    }
-
-    /// Replaces the score-decay policy: reputation points age out of
-    /// threshold checks over simulated time. See [`ScoreConfig::decay`].
-    pub fn decay(mut self, policy: DecayPolicy) -> Self {
-        self.decay = Some(policy);
         self
     }
 
@@ -392,28 +333,6 @@ impl SessionBuilder {
             if !config.protected_dirs.contains(&dir) {
                 config.protected_dirs.push(dir);
             }
-        }
-        if let Some(score) = self.score {
-            config.score = score;
-        }
-        for decoy in self.decoys {
-            if !config.decoy_paths.contains(&decoy) {
-                config.decoy_paths.push(decoy);
-            }
-        }
-        if let Some((score, nanos)) = self.throttle {
-            config.throttle_enabled = true;
-            config.throttle_score = score;
-            config.throttle_nanos_per_point = nanos;
-        }
-        if let Some((capacity, refill, delay)) = self.rate_budget {
-            config.rate_budget_enabled = true;
-            config.rate_budget_capacity = capacity;
-            config.rate_refill_nanos_per_token = refill;
-            config.rate_throttle_nanos = delay;
-        }
-        if let Some(policy) = self.decay {
-            config.score.decay = policy;
         }
         validate(&config)?;
         if let Some(pcfg) = &self.pipeline {
@@ -491,7 +410,6 @@ impl fmt::Debug for SessionBuilder {
         f.debug_struct("SessionBuilder")
             .field("config", &self.config)
             .field("protected", &self.protected)
-            .field("score", &self.score)
             .field("pipelined", &self.pipeline.is_some())
             .finish_non_exhaustive()
     }
@@ -711,6 +629,7 @@ impl fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ScoreConfig, ThrottlePolicy};
 
     #[test]
     fn builder_rejects_empty_protection() {
@@ -720,6 +639,11 @@ mod tests {
         );
     }
 
+    fn build_with_score(score: ScoreConfig) -> Result<Session, ConfigError> {
+        let cfg = Config::protecting("/d").with_score(score);
+        CryptoDrop::builder().config(cfg).build()
+    }
+
     #[test]
     fn builder_rejects_zero_thresholds() {
         let score = ScoreConfig {
@@ -727,11 +651,7 @@ mod tests {
             ..ScoreConfig::default()
         };
         assert_eq!(
-            CryptoDrop::builder()
-                .protecting("/d")
-                .score(score)
-                .build()
-                .err(),
+            build_with_score(score).err(),
             Some(ConfigError::ZeroThreshold("non_union_threshold"))
         );
         let score = ScoreConfig {
@@ -739,11 +659,7 @@ mod tests {
             ..ScoreConfig::default()
         };
         assert_eq!(
-            CryptoDrop::builder()
-                .protecting("/d")
-                .score(score)
-                .build()
-                .err(),
+            build_with_score(score).err(),
             Some(ConfigError::ZeroThreshold("union_threshold"))
         );
     }
@@ -756,11 +672,7 @@ mod tests {
             ..ScoreConfig::default()
         };
         assert_eq!(
-            CryptoDrop::builder()
-                .protecting("/d")
-                .score(score)
-                .build()
-                .err(),
+            build_with_score(score).err(),
             Some(ConfigError::UnionThresholdAboveBase {
                 union: 300,
                 non_union: 200
@@ -793,35 +705,56 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_throttle_score() {
-        let mut cfg = Config::protecting("/d");
-        cfg.throttle_enabled = true;
-        cfg.throttle_score = 0;
-        let err = CryptoDrop::builder().config(cfg).build().err();
-        assert_eq!(err, Some(ConfigError::ZeroThrottleScore));
-        assert!(err.unwrap().to_string().contains("throttle_score"));
-        // Score 0 with throttling off is the inert default — fine.
-        let mut cfg = Config::protecting("/d");
-        cfg.throttle_score = 0;
-        assert!(CryptoDrop::builder().config(cfg).build().is_ok());
-    }
-
-    #[test]
-    fn builder_threads_decoys_and_throttling_into_the_config() {
-        use cryptodrop_vfs::VPath;
-        let bait = VPath::new("/d/_passwords.xlsx");
-        let session = CryptoDrop::builder()
-            .protecting("/d")
-            .decoys([bait.clone(), bait.clone()]) // duplicates collapse
-            .throttling(40, 2_000_000)
-            .build()
-            .expect("valid");
-        let cfg = session.config();
-        assert_eq!(cfg.decoy_paths, vec![bait.clone()]);
-        assert!(cfg.is_decoy(&bait));
-        assert!(cfg.throttle_enabled);
-        assert_eq!(cfg.throttle_score, 40);
-        assert_eq!(cfg.throttle_nanos_per_point, 2_000_000);
+    fn builder_names_the_zero_field_of_a_time_axis_policy() {
+        let base = Config::protecting("/d");
+        let budget = RateBudget {
+            capacity: 4,
+            refill_nanos_per_token: 1_000,
+            throttle_nanos: 1_000,
+        };
+        let rate = |rate_budget| Config {
+            rate_budget: Some(rate_budget),
+            ..base.clone()
+        };
+        let decay = |policy| base.clone().with_decay(policy);
+        let throttle = Some(ThrottlePolicy {
+            score: 0,
+            nanos_per_point: 1_000,
+        });
+        let cases = [
+            (
+                Config { throttle, ..base.clone() },
+                ConfigError::ZeroThrottleScore,
+            ),
+            (
+                rate(RateBudget { capacity: 0, ..budget }),
+                ConfigError::ZeroRateBudgetParam("capacity"),
+            ),
+            (
+                rate(RateBudget { refill_nanos_per_token: 0, ..budget }),
+                ConfigError::ZeroRateBudgetParam("refill_nanos_per_token"),
+            ),
+            (
+                rate(RateBudget { throttle_nanos: 0, ..budget }),
+                ConfigError::ZeroRateBudgetParam("throttle_nanos"),
+            ),
+            (
+                decay(DecayPolicy::Window { window_nanos: 0 }),
+                ConfigError::ZeroDecayParam("window_nanos"),
+            ),
+            (
+                decay(DecayPolicy::Linear { window_nanos: 0 }),
+                ConfigError::ZeroDecayParam("window_nanos"),
+            ),
+            (
+                decay(DecayPolicy::HalfLife { half_life_nanos: 0 }),
+                ConfigError::ZeroDecayParam("half_life_nanos"),
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(CryptoDrop::builder().config(cfg).build().err(), Some(want));
+        }
+        assert!(CryptoDrop::builder().config(rate(budget)).build().is_ok());
     }
 
     #[test]

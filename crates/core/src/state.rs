@@ -286,9 +286,9 @@ impl ProcessState {
     }
 
     /// Whether the score — decayed to `now_nanos` under the configured
-    /// [`DecayPolicy`] — has reached the effective threshold. With
-    /// [`DecayPolicy::None`] this is the raw-score comparison the paper
-    /// specifies.
+    /// [`DecayPolicy`](crate::DecayPolicy) — has reached the effective
+    /// threshold. With [`DecayPolicy::None`](crate::DecayPolicy::None)
+    /// this is the raw-score comparison the paper specifies.
     pub fn over_threshold(&self, cfg: &ScoreConfig, now_nanos: u64) -> bool {
         self.decayed_score(cfg, now_nanos) >= self.effective_threshold(cfg)
     }
@@ -303,8 +303,8 @@ impl ProcessState {
     /// (`at_nanos > now_nanos`) is simply not aged yet (age saturates
     /// to 0).
     ///
-    /// With [`DecayPolicy::None`] (the default) this returns the raw
-    /// score without touching the hit list.
+    /// With [`DecayPolicy::None`](crate::DecayPolicy::None) (the default)
+    /// this returns the raw score without touching the hit list.
     pub fn decayed_score(&self, cfg: &ScoreConfig, now_nanos: u64) -> u32 {
         let policy = &cfg.decay;
         if policy.is_none() {

@@ -135,7 +135,7 @@ impl Corpus {
     /// untouched, so detector behavior on them is unchanged. Register
     /// the woven paths with the engine via
     /// [`decoy_paths`](Self::decoy_paths) (e.g.
-    /// `SessionBuilder::decoys`).
+    /// `cryptodrop::Config::with_decoys`).
     pub fn with_decoys(&self, spec: &CorpusSpec, count: usize) -> Corpus {
         /// Stems no legitimate workflow would modify but every
         /// data-hungry attacker wants.

@@ -150,9 +150,7 @@ fn mode_config(base: &Config, baited: &Corpus, mode: DefenseMode) -> Config {
         }
         DefenseMode::DecoysThrottle => {
             cfg.decoy_paths = baited.decoy_paths().cloned().collect();
-            cfg.throttle_enabled = true;
-            cfg.throttle_score = (base.score.non_union_threshold / 2).max(1);
-            cfg.throttle_nanos_per_point = 1_000_000;
+            cfg = cfg.with_throttling((base.score.non_union_threshold / 2).max(1), 1_000_000);
         }
     }
     cfg

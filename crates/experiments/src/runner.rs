@@ -154,49 +154,6 @@ pub struct AppResult {
     pub completed: bool,
 }
 
-/// Runs one benign application on a freshly staged corpus with CryptoDrop
-/// armed, returning its final score.
-///
-/// `seed` drives the app's content generation deterministically.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "drive the app through the `Workload` trait instead: \
-            `run_workload(corpus, config, &boxed_app, seed)`"
-)]
-pub fn run_app(
-    corpus: &Corpus,
-    config: &Config,
-    app: &dyn cryptodrop_benign::BenignApp,
-    seed: u64,
-) -> AppResult {
-    use rand::SeedableRng;
-    let mut fs = Vfs::new();
-    corpus
-        .stage_into(&mut fs)
-        .expect("staging a generated corpus into an empty filesystem cannot fail");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    app.stage(&mut fs, corpus.root(), &mut rng)
-        .expect("benign staging cannot collide with the corpus");
-    let session = CryptoDrop::builder()
-        .config(config.clone())
-        .build()
-        .expect("experiment configs are valid");
-    fs.register_filter(Box::new(session.fork()));
-    let pid = fs.spawn_process(app.executable());
-
-    let run = app.run(&mut fs, pid, corpus.root(), &mut rng);
-
-    let detected = fs.is_suspended(pid);
-    let summary = session.summary(pid);
-    AppResult {
-        name: app.name().to_string(),
-        score: summary.as_ref().map(|s| s.score).unwrap_or(0),
-        detected,
-        union_triggered: summary.as_ref().map(|s| s.union_triggered).unwrap_or(false),
-        completed: run.is_ok(),
-    }
-}
-
 /// The result of driving one [`Workload`] — attacker or benign — on a fresh
 /// corpus with CryptoDrop armed. This is the actor-agnostic counterpart of
 /// [`SampleResult`]/[`AppResult`]: every metric aggregates over the

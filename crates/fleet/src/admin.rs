@@ -23,8 +23,8 @@ use crate::rpc::{self, obj, ParseError, ParseErrorKind, Value};
 use crate::{Fleet, FleetError, TenantSpec};
 
 /// Drives a [`Fleet`] from newline-delimited JSON requests — the
-/// transport-agnostic core of an admin socket. See the [module
-/// docs](self) for the wire format and
+/// transport-agnostic core of an admin socket. See the module docs for
+/// the wire format and
 /// [`handle_line`](FleetAdmin::handle_line) for the method set.
 #[derive(Debug)]
 pub struct FleetAdmin {

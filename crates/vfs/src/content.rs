@@ -5,7 +5,7 @@
 //! module provides the two pieces that make the corpus copy-on-write:
 //!
 //! * [`SharedContent`] — one immutable, reference-counted buffer plus its
-//!   precomputed [`content_stamp`](crate::content_stamp), stageable into
+//!   precomputed [`content_stamp`], stageable into
 //!   any number of filesystems through
 //!   [`AdminView::stage_shared`](crate::AdminView::stage_shared) at O(1)
 //!   cost per mount. A namespace that later writes the file materializes a
@@ -72,7 +72,7 @@ impl fmt::Debug for MemoSlot {
 
 /// Immutable file content staged once and mounted into many namespaces.
 ///
-/// Carries the buffer's [`content_stamp`](crate::content_stamp) so each
+/// Carries the buffer's [`content_stamp`] so each
 /// mount is a refcount bump plus a stamp copy — no per-namespace O(n)
 /// hashing pass over the corpus — and one [`MemoSlot`] that every mount
 /// shares.

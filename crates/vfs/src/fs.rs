@@ -1366,8 +1366,7 @@ impl Vfs {
     /// Opens the administrative view: unfiltered, unattributed access to
     /// the filesystem for staging, verification and recovery tooling.
     /// This is the mutation-capable sibling of the filter-facing
-    /// [`FsView`] and the single entry point that replaces the individual
-    /// `admin_*` methods (now deprecated shims).
+    /// [`FsView`].
     ///
     /// # Examples
     ///
@@ -1384,17 +1383,6 @@ impl Vfs {
         AdminView { vfs: self }
     }
 
-    /// Reads a file without filter interposition.
-    ///
-    /// # Errors
-    ///
-    /// [`VfsError::NotFound`] / [`VfsError::IsADirectory`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().read_file(path)`")]
-    pub fn admin_read_file(&self, path: &VPath) -> VfsResult<Vec<u8>> {
-        self.read_file_impl(path)
-    }
-
     pub(crate) fn read_file_impl(&self, path: &VPath) -> VfsResult<Vec<u8>> {
         let (mi, resolved) = self.resolve(path, true)?;
         let path = resolved.as_path();
@@ -1407,17 +1395,6 @@ impl Vfs {
             Some(EntryKind::Symlink) => Err(VfsError::symlink_loop(path.clone())),
             None => Err(VfsError::NotFound(path.clone())),
         }
-    }
-
-    /// Writes a file without filter interposition.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AdminView::write_file`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().write_file(path, data)`")]
-    pub fn admin_write_file(&mut self, path: &VPath, data: &[u8]) -> VfsResult<()> {
-        self.write_file_impl(path, data)
     }
 
     fn write_file_impl(&mut self, path: &VPath, data: &[u8]) -> VfsResult<()> {
@@ -1487,17 +1464,6 @@ impl Vfs {
         Ok(())
     }
 
-    /// Deletes a file without filter interposition.
-    ///
-    /// # Errors
-    ///
-    /// [`VfsError::NotFound`] / [`VfsError::IsADirectory`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().delete_file(path)`")]
-    pub fn admin_delete_file(&mut self, path: &VPath) -> VfsResult<()> {
-        self.delete_file_impl(path)
-    }
-
     fn delete_file_impl(&mut self, path: &VPath) -> VfsResult<()> {
         let (mi, resolved) = self.resolve(path, false)?;
         let path = resolved.as_path();
@@ -1518,17 +1484,6 @@ impl Vfs {
         Ok(())
     }
 
-    /// Creates one directory without filter interposition.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Vfs::create_dir`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().create_dir(path)`")]
-    pub fn admin_create_dir(&mut self, path: &VPath) -> VfsResult<()> {
-        self.create_dir_impl(path)
-    }
-
     fn create_dir_impl(&mut self, path: &VPath) -> VfsResult<()> {
         let (mi, resolved) = self.resolve(path, false)?;
         let path = resolved.as_path();
@@ -1545,17 +1500,6 @@ impl Vfs {
         Ok(())
     }
 
-    /// Creates a directory chain without filter interposition.
-    ///
-    /// # Errors
-    ///
-    /// [`VfsError::NotADirectory`] if a file blocks the chain.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().create_dir_all(path)`")]
-    pub fn admin_create_dir_all(&mut self, path: &VPath) -> VfsResult<()> {
-        self.create_dir_all_impl(path)
-    }
-
     fn create_dir_all_impl(&mut self, path: &VPath) -> VfsResult<()> {
         let (mi, resolved) = self.resolve(path, true)?;
         let path = resolved.as_path();
@@ -1568,17 +1512,6 @@ impl Vfs {
             self.create_dir_all_impl(&parent)?;
         }
         self.create_dir_impl(path)
-    }
-
-    /// Sets a file's read-only attribute without filter interposition.
-    ///
-    /// # Errors
-    ///
-    /// [`VfsError::NotFound`] / [`VfsError::IsADirectory`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().set_read_only(path, read_only)`")]
-    pub fn admin_set_read_only(&mut self, path: &VPath, read_only: bool) -> VfsResult<()> {
-        self.set_read_only_impl(path, read_only)
     }
 
     fn set_read_only_impl(&mut self, path: &VPath, read_only: bool) -> VfsResult<()> {
@@ -1598,17 +1531,6 @@ impl Vfs {
             Some(EntryKind::Symlink) => Err(VfsError::symlink_loop(path.clone())),
             None => Err(VfsError::NotFound(path.clone())),
         }
-    }
-
-    /// Metadata without filter interposition.
-    ///
-    /// # Errors
-    ///
-    /// [`VfsError::NotFound`] for missing paths.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().metadata(path)`")]
-    pub fn admin_metadata(&self, path: &VPath) -> VfsResult<Metadata> {
-        self.metadata_impl(path)
     }
 
     pub(crate) fn metadata_impl(&self, path: &VPath) -> VfsResult<Metadata> {
@@ -1650,14 +1572,6 @@ impl Vfs {
         }
     }
 
-    /// Iterates over all files as `(path, content)` pairs, in arbitrary
-    /// order.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().files()`")]
-    pub fn admin_files(&self) -> impl Iterator<Item = (&VPath, &[u8])> {
-        self.files_impl()
-    }
-
     fn files_impl(&self) -> impl Iterator<Item = (&VPath, &[u8])> {
         let mut out: Vec<(&VPath, &[u8])> = Vec::new();
         for m in &self.mounts {
@@ -1665,13 +1579,6 @@ impl Vfs {
                 .visit_files(&mut |p, n| out.push((p, n.data.as_slice())));
         }
         out.into_iter()
-    }
-
-    /// Iterates over all directory paths, in arbitrary order.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `vfs.admin().dirs()`")]
-    pub fn admin_dirs(&self) -> impl Iterator<Item = &VPath> {
-        self.dirs_impl()
     }
 
     fn dirs_impl(&self) -> impl Iterator<Item = &VPath> {
@@ -2217,8 +2124,8 @@ impl Vfs {
 /// This is the mutation-capable sibling of the read-only, filter-facing
 /// [`FsView`]. Operations through it bypass the filter stack, leave no
 /// events in the trace log, are invisible to any attached
-/// [`ShadowSink`], and are not charged simulated latency — exactly like
-/// the old `admin_*` methods it replaces. Obtain one with [`Vfs::admin`].
+/// [`ShadowSink`], and are not charged simulated latency. Obtain one with
+/// [`Vfs::admin`].
 #[derive(Debug)]
 pub struct AdminView<'a> {
     vfs: &'a mut Vfs,

@@ -1,16 +1,14 @@
 //! The unified actor surface: one trait for everything that drives a
 //! filesystem, attacker or benign.
 //!
-//! The evaluation harness used to run ransomware through one entry point
-//! (`RansomwareSample::run`) and benign applications through another, so
-//! every study that wanted to mix the two — ROC sweeps, deception runs,
-//! fleet tenants — carried both code paths. [`Workload`] collapses that:
-//! an actor declares its *pid plan* (the process identities it will drive,
-//! letting multi-process colluders split reads from writes), optionally
-//! stages unmonitored inputs, and then [`drive`](Workload::drive)s the
-//! filesystem to a [`WorkloadOutcome`]. The harness composes attackers and
-//! benign load uniformly; the engine under test cannot tell who built the
-//! workload.
+//! Ransomware samples and benign applications both implement [`Workload`],
+//! so every study that mixes the two — ROC sweeps, deception runs, fleet
+//! tenants — has one code path. An actor declares its *pid plan* (the
+//! process identities it will drive, letting multi-process colluders split
+//! reads from writes), optionally stages unmonitored inputs, and then
+//! [`drive`](Workload::drive)s the filesystem to a [`WorkloadOutcome`].
+//! The harness composes attackers and benign load uniformly; the engine
+//! under test cannot tell who built the workload.
 
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +88,7 @@ impl WorkloadOutcome {
 }
 
 /// An actor that drives a [`Vfs`]: a ransomware sample, an evasive
-/// strategy, or a benign application. See the [module docs](self).
+/// strategy, or a benign application. See the module docs.
 ///
 /// # Examples
 ///

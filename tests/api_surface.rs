@@ -13,8 +13,8 @@
 use cryptodrop::prelude::{
     Backpressure, Config, ConfigError, CryptoDrop, DecayPolicy, DetectionReport, ErrorKind,
     FsProvider, MemProvider, Monitor, MountOptions, PipelineConfig, PipelineStats, ProcessId,
-    RecoveryReport, ScoreConfig, Session, SessionBuilder, ShadowConfig, ShadowStore,
-    Telemetry, VPath, Verdict, Vfs, VfsError, VfsResult,
+    RateBudget, RecoveryReport, ScoreConfig, Session, SessionBuilder, ShadowConfig,
+    ShadowStore, Telemetry, ThrottlePolicy, VPath, Verdict, Vfs, VfsError, VfsResult,
 };
 #[allow(unused_imports)]
 use cryptodrop_vfs::{
@@ -114,23 +114,28 @@ fn verdict_and_mount_option_defaults_are_stable() {
 fn defense_config_surface_is_stable() {
     let cfg = Config::protecting("/docs");
     assert!(cfg.decoy_paths.is_empty());
-    assert!(!cfg.throttle_enabled);
+    assert_eq!(cfg.throttle, None);
 
     let bait = VPath::new("/docs/_passwords.xlsx");
     let cfg = cfg.with_decoys([bait.clone()]).with_throttling(40, 1_000_000);
     assert!(cfg.is_decoy(&bait));
-    assert!(cfg.throttle_enabled);
-    assert_eq!((cfg.throttle_score, cfg.throttle_nanos_per_point), (40, 1_000_000));
+    let throttle = ThrottlePolicy {
+        score: 40,
+        nanos_per_point: 1_000_000,
+    };
+    assert_eq!(cfg.throttle, Some(throttle));
 }
 
-/// The time-axis defense surface: score decay and per-family rate
-/// budgets, both off by default (the paper's permanent scoreboard), both
-/// reachable through `Config` builders and the `SessionBuilder`.
+/// The time-axis defense surface: score decay, per-family rate budgets
+/// and the write-burst indicator, all off by default (the paper's
+/// permanent scoreboard), all set on `Config` and handed to the
+/// `SessionBuilder` whole.
 #[test]
 fn time_axis_defense_surface_is_stable() {
     let cfg = Config::protecting("/docs");
     assert_eq!(cfg.score.decay, DecayPolicy::None);
-    assert!(!cfg.rate_budget_enabled);
+    assert_eq!(cfg.rate_budget, None);
+    assert_eq!(cfg.score.points_burst, 0);
 
     let cfg = cfg
         .with_decay(DecayPolicy::HalfLife {
@@ -138,33 +143,21 @@ fn time_axis_defense_surface_is_stable() {
         })
         .with_rate_budget(24, 2_000_000_000, 250_000_000);
     assert!(!cfg.score.decay.is_none());
-    assert!(cfg.rate_budget_enabled);
+    let budget = RateBudget {
+        capacity: 24,
+        refill_nanos_per_token: 2_000_000_000,
+        throttle_nanos: 250_000_000,
+    };
+    assert_eq!(cfg.rate_budget, Some(budget));
+    assert!(CryptoDrop::builder().config(cfg).build().is_ok());
+
+    // Degenerate parameters are typed construction-time errors, not
+    // silent no-ops.
+    let zeroed = Config::protecting("/docs").with_decay(DecayPolicy::Window { window_nanos: 0 });
     assert_eq!(
-        (
-            cfg.rate_budget_capacity,
-            cfg.rate_refill_nanos_per_token,
-            cfg.rate_throttle_nanos
-        ),
-        (24, 2_000_000_000, 250_000_000)
+        CryptoDrop::builder().config(zeroed).build().err(),
+        Some(ConfigError::ZeroDecayParam("window_nanos"))
     );
-
-    // The same knobs exist on the session builder and validate.
-    let session = CryptoDrop::builder()
-        .protecting("/docs")
-        .decay(DecayPolicy::Window {
-            window_nanos: 1_800_000_000_000,
-        })
-        .rate_budget(8, 1_000_000_000, 100_000_000)
-        .build();
-    assert!(session.is_ok());
-
-    // Degenerate parameters are construction-time errors, not silent
-    // no-ops.
-    let zeroed = CryptoDrop::builder()
-        .protecting("/docs")
-        .decay(DecayPolicy::Window { window_nanos: 0 })
-        .build();
-    assert!(zeroed.is_err());
 
     // The sweep's published axes: dashboards key on these labels.
     let labels: Vec<&str> = swept_decay_policies().iter().map(|(l, _)| *l).collect();

@@ -321,7 +321,7 @@ fn burst_window_stays_deterministic_under_clock_chaos() {
     quiet_expected_panics();
     let run = |seed: u64| {
         let mut cfg = cryptodrop::Config::protecting("/docs");
-        cfg.score.burst_enabled = true;
+        cfg.score.points_burst = 5;
         let plan = FaultPlan::seeded(seed)
             .latency_spike_probability(0.25)
             .latency_spike_at(0);

@@ -179,7 +179,7 @@ fn benign_apps_survive_burst_indicator_thanks_to_think_time() {
     // the other way for benign apps, whose activity is human-paced.
     let corpus = corpus();
     let mut cfg = Config::protecting(corpus.root().as_str());
-    cfg.score.burst_enabled = true;
+    cfg.score.points_burst = 5;
     for app_box in cryptodrop_benign::fig6_apps() {
         let r = cryptodrop_experiments::runner::run_workload(&corpus, &cfg, &app_box, 9);
         assert!(
