@@ -98,7 +98,7 @@ impl AuditTrail {
             .hits()
             .iter()
             .map(|h: &IndicatorHit| {
-                running += h.points;
+                running = running.saturating_add(h.points);
                 if decaying {
                     awards.push((h.at_nanos, h.points));
                 }
@@ -110,7 +110,7 @@ impl AuditTrail {
                     && Indicator::PRIMARY.iter().all(|p| primaries.contains(p))
                 {
                     union_done = true;
-                    running += cfg.score.union_bonus;
+                    running = running.saturating_add(cfg.score.union_bonus);
                     if decaying {
                         awards.push((h.at_nanos, cfg.score.union_bonus));
                     }

@@ -12,6 +12,12 @@
 //! engine's state, through which callers read scores, summaries, and
 //! detection reports — the "user notification" side of Fig. 2.
 //!
+//! The engine is four files: `mod.rs` (filter callbacks, record
+//! building, one analysis handler per operation, scoring), `cache.rs`
+//! (the snapshot cache), `evidence.rs` (indicator evidence as pure
+//! functions of snapshots and [`Config`]) and `gates.rs` (family gate,
+//! decoys, throttling and rate budgets).
+//!
 //! # Concurrency and caching
 //!
 //! The engine's state is split into independently locked shards so that
@@ -25,31 +31,32 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cryptodrop_entropy::ByteHistogram;
-use cryptodrop_simhash::{content_fingerprint, FeatureCache, SdDigest};
+use cryptodrop_simhash::{content_fingerprint, SdDigest};
 use cryptodrop_sniff::{sniff, FileType};
 use cryptodrop_telemetry::{Counter, Histogram, JournalKind, Telemetry};
 use cryptodrop_vfs::{
-    DirtyReport, FileId, FilterDriver, FsOp, FsView, MemoSlot, OpContext, OpOutcome, ProcessId,
-    VPath, Verdict, MAX_DIRTY_EXTENTS,
+    DirtyReport, FileId, FilterDriver, FsOp, FsView, OpContext, OpOutcome, ProcessId, VPath,
+    Verdict,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::config::Config;
-use crate::indicators::similarity::{self, PostImageDigest, SimilarityOutcome};
-use crate::indicators::type_change::{self, TypeChangeOutcome};
+use crate::indicators::similarity::SimilarityOutcome;
+use crate::indicators::type_change;
 use crate::indicators::{Indicator, IndicatorHit};
 use crate::pipeline::PipelineShared;
 use crate::record::{OpRecord, RecordBody};
-use crate::state::{FileSnapshot, IncrState, ProcessState, ProcessSummary};
+use crate::state::{FileSnapshot, ProcessState, ProcessSummary};
 
-/// The suspension reason issued when a member of an already-flagged (and
-/// not user-permitted) process family keeps issuing operations.
-const FAMILY_FLAGGED: &str = "cryptodrop: process family previously flagged";
+mod cache;
+mod evidence;
+mod gates;
+
+pub use cache::CacheStats;
+use cache::{shard_index, SnapshotCache, SHARDS};
 
 /// A detection: one process crossed its threshold and was suspended.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,235 +99,8 @@ impl DetectionReport {
     }
 }
 
-/// The refresh snapshot memoised on a staged buffer's [`MemoSlot`], with
-/// the config inputs it was captured under.
-struct StagedSnapshot {
-    max_digest_bytes: usize,
-    incremental: bool,
-    snap: FileSnapshot,
-}
-
-/// Snapshot-cache effectiveness counters, exposed via
-/// [`Monitor::cache_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Snapshot refreshes satisfied by an unchanged content fingerprint
-    /// (no sniff/digest/entropy recompute).
-    pub hits: u64,
-    /// Snapshot refreshes that had to recompute (content changed, or no
-    /// prior snapshot existed).
-    pub misses: u64,
-    /// Path-keyed snapshots evicted to honour
-    /// [`Config::snapshot_cache_capacity`] (or, for pinned post-delete
-    /// snapshots, [`Config::pinned_snapshot_budget`]).
-    pub evictions: u64,
-    /// Path-keyed snapshots currently resident.
-    pub resident: u64,
-    /// Resident snapshots that are pinned (post-delete retentions,
-    /// excluded from the LRU cap).
-    pub pinned: u64,
-    /// Times the fingerprint-cache hit path found its snapshot missing
-    /// and degraded to a recompute instead of panicking. Always 0 in a
-    /// healthy engine.
-    pub anomalies: u64,
-}
-
-/// Shard fan-out. 16 shards keeps the fixed arrays tiny while making
-/// same-shard collisions between unrelated process families / paths rare
-/// at the process counts the workloads produce.
-const SHARD_BITS: u32 = 4;
-const SHARDS: usize = 1 << SHARD_BITS;
-
-/// Maps an already-hashed key to its shard. The Fibonacci multiplier
-/// spreads small sequential ids (pids, file ids) across shards.
-fn shard_index(key: u64) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize
-}
-
-/// FNV-1a over a path's textual form, for path-shard selection.
-fn path_key(path: &VPath) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in path.as_str().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One shard of the per-process-family scoreboard.
-#[derive(Debug, Default)]
-struct FamilyShard {
-    processes: HashMap<ProcessId, ProcessState>,
-}
-
-impl FamilyShard {
-    fn process_mut<'a>(
-        processes: &'a mut HashMap<ProcessId, ProcessState>,
-        cfg: &Config,
-        pid: ProcessId,
-        name: &str,
-    ) -> &'a mut ProcessState {
-        processes
-            .entry(pid)
-            .or_insert_with(|| ProcessState::new(pid, name, &cfg.score))
-    }
-}
-
-/// A path-keyed snapshot plus its last-touched tick (LRU bookkeeping) and
-/// its pin state (pinned entries are exempt from the LRU cap).
-#[derive(Debug)]
-struct PathEntry {
-    snap: FileSnapshot,
-    tick: u64,
-    pinned: bool,
-}
-
-/// One shard of the path-keyed indices: previous-version snapshots (which
-/// deliberately survive deletes, enabling the Class C link) and the
-/// tracked-path set for files moved out of protected directories.
-///
-/// Post-delete snapshots are **pinned**: they are exactly the entries the
-/// Class C delete-then-drop link depends on, so they are excluded from
-/// the ordinary LRU cap and budgeted separately
-/// ([`Config::pinned_snapshot_budget`]). `pinned_count` is maintained
-/// incrementally so cap checks stay O(1) on the insert path.
-#[derive(Debug, Default)]
-struct PathShard {
-    snapshots: HashMap<VPath, PathEntry>,
-    tracked: HashMap<VPath, FileId>,
-    pinned_count: usize,
-}
-
-impl PathShard {
-    /// Clones out a snapshot, touching its LRU tick.
-    fn get_snapshot(&mut self, path: &VPath, tick: u64) -> Option<FileSnapshot> {
-        self.snapshots.get_mut(path).map(|e| {
-            e.tick = tick;
-            e.snap.clone()
-        })
-    }
-
-    /// Removes a snapshot entry, maintaining the pin count.
-    fn remove_snapshot(&mut self, path: &VPath) -> Option<FileSnapshot> {
-        self.snapshots.remove(path).map(|e| {
-            if e.pinned {
-                self.pinned_count -= 1;
-            }
-            e.snap
-        })
-    }
-
-    /// Evicts the least-recently-touched entry matching `pinned`,
-    /// returning whether one existed.
-    fn evict_oldest(&mut self, pinned: bool) -> bool {
-        let Some(oldest) = self
-            .snapshots
-            .iter()
-            .filter(|(_, e)| e.pinned == pinned)
-            .min_by_key(|(_, e)| e.tick)
-            .map(|(p, _)| p.clone())
-        else {
-            return false;
-        };
-        self.remove_snapshot(&oldest);
-        true
-    }
-
-    /// Inserts (or replaces) a snapshot — fresh content makes the path
-    /// live again, so a replaced entry loses any pin — and enforces the
-    /// per-shard capacity by evicting least-recently-touched *unpinned*
-    /// entries. Returns the number of evictions performed.
-    fn insert_snapshot(&mut self, path: VPath, snap: FileSnapshot, tick: u64, cap: usize) -> u64 {
-        let replaced = self.snapshots.insert(
-            path,
-            PathEntry {
-                snap,
-                tick,
-                pinned: false,
-            },
-        );
-        if replaced.is_some_and(|e| e.pinned) {
-            self.pinned_count -= 1;
-        }
-        let mut evicted = 0u64;
-        while self.snapshots.len() - self.pinned_count > cap {
-            if !self.evict_oldest(false) {
-                break;
-            }
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Pins the snapshot at `path` (no-op if absent or already pinned)
-    /// and enforces the per-shard pinned budget, evicting the oldest
-    /// pinned entries. Returns the number of evictions performed.
-    fn pin(&mut self, path: &VPath, pinned_cap: usize) -> u64 {
-        match self.snapshots.get_mut(path) {
-            Some(e) if !e.pinned => {
-                e.pinned = true;
-                self.pinned_count += 1;
-            }
-            _ => return 0,
-        }
-        let mut evicted = 0u64;
-        while self.pinned_count > pinned_cap {
-            if !self.evict_oldest(true) {
-                break;
-            }
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
-/// One shard of the open-file indices: file-id-keyed snapshots, the set
-/// of files created (not pre-existing) during the engine's watch, and
-/// per-file read baselines for the collusion defense.
-#[derive(Debug, Default)]
-struct FileShard {
-    snapshots: HashMap<FileId, FileSnapshot>,
-    created: HashSet<FileId>,
-    /// What the most recent reading family observed of each file's
-    /// content. Keyed by **file**, not by process: a colluding pair that
-    /// splits the plan across a reader pid and a writer pid leaves the
-    /// writer's per-family entropy tracker without a read side, which is
-    /// exactly the evidence split PR 9's study proved evades the
-    /// scoreboard. When a *different* family first modifies the file, it
-    /// inherits this baseline (see `RecordBody::Write` handling). A
-    /// write or truncate retires the entry — the content it described is
-    /// gone.
-    read_baselines: HashMap<FileId, ReadBaseline>,
-}
-
-/// The accumulated read-side evidence for one file: a length-weighted
-/// entropy mean over the reading family's read payloads (matching
-/// [`EntropyDeltaTracker`](crate::indicators::entropy_delta::EntropyDeltaTracker)'s
-/// own weighting, so inheriting the baseline as a single observation is
-/// equivalent to having observed every chunk). The issuing pid rides
-/// along for the audit journal.
-#[derive(Debug, Clone, Copy)]
-struct ReadBaseline {
-    /// Σ entropy·len over the reads folded into this baseline.
-    weighted: f64,
-    /// Σ len over the same reads.
-    len: u64,
-    /// The scoring key (family root) whose reads built the baseline.
-    reader_key: ProcessId,
-    /// The concrete pid that issued the most recent read (audit trail).
-    reader_pid: ProcessId,
-}
-
-impl ReadBaseline {
-    /// The length-weighted mean entropy of the folded reads.
-    fn entropy(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.weighted / self.len as f64
-        }
-    }
-}
+type FamilyShard = HashMap<ProcessId, ProcessState>;
 
 /// Telemetry handles the engine resolves once at construction, so the
 /// per-operation cost when telemetry is enabled is an atomic bump — not a
@@ -344,6 +124,9 @@ struct EngineMetrics {
     /// (interference, truncation, scattered writes, oversized files, or no
     /// retained intermediates).
     incr_full: Counter,
+    /// Read and write payloads whose entropy was taken from a
+    /// stamp-matching resident snapshot instead of recomputed.
+    stamp_reuse: Counter,
     /// Destructive operations that hit a registered decoy file (each an
     /// instant maximum-confidence detection).
     decoy_trips: Counter,
@@ -384,6 +167,7 @@ impl EngineMetrics {
             incr_stamp_skips: t.counter("engine.incremental.stamp_skips"),
             incr_delta: t.counter("engine.incremental.delta_applied"),
             incr_full: t.counter("engine.incremental.full_recompute"),
+            stamp_reuse: t.counter("engine.entropy.stamp_reuse"),
             decoy_trips: t.counter("engine.decoy.trips"),
             throttled_ops: t.counter("engine.throttle.ops"),
             decay_checks: t.counter("engine.decay.checks"),
@@ -400,17 +184,8 @@ impl EngineMetrics {
 /// (and by every fork of the engine).
 struct EngineShared {
     families: [Mutex<FamilyShard>; SHARDS],
-    paths: [Mutex<PathShard>; SHARDS],
-    files: [Mutex<FileShard>; SHARDS],
+    cache: SnapshotCache,
     detections: Mutex<Vec<DetectionReport>>,
-    /// Global LRU clock for the path-snapshot cache.
-    tick: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    /// Times the unchanged-close fast path found its snapshot missing and
-    /// degraded to a recompute. Always 0 in a healthy engine.
-    cache_anomalies: AtomicU64,
     telemetry: Telemetry,
     metrics: EngineMetrics,
     /// Registered decoy files, pre-hashed once at construction from
@@ -420,70 +195,34 @@ struct EngineShared {
 }
 
 impl EngineShared {
-    fn new(telemetry: Telemetry, decoys: HashSet<VPath>) -> Self {
-        let metrics = EngineMetrics::new(&telemetry);
+    fn new(cfg: &Config, telemetry: Telemetry) -> Self {
         Self {
             families: std::array::from_fn(|_| Mutex::new(FamilyShard::default())),
-            paths: std::array::from_fn(|_| Mutex::new(PathShard::default())),
-            files: std::array::from_fn(|_| Mutex::new(FileShard::default())),
+            cache: SnapshotCache::new(cfg),
             detections: Mutex::new(Vec::new()),
-            tick: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
-            cache_anomalies: AtomicU64::new(0),
+            metrics: EngineMetrics::new(&telemetry),
             telemetry,
-            metrics,
-            decoys,
+            decoys: cfg.decoy_paths.iter().cloned().collect(),
         }
     }
-}
 
-impl EngineShared {
     fn family_shard(&self, pid: ProcessId) -> &Mutex<FamilyShard> {
         &self.families[shard_index(u64::from(pid.0))]
-    }
-
-    fn path_shard(&self, path: &VPath) -> &Mutex<PathShard> {
-        &self.paths[shard_index(path_key(path))]
-    }
-
-    fn file_shard(&self, file: FileId) -> &Mutex<FileShard> {
-        &self.files[shard_index(file.0)]
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Path is in scope: protected, or currently tracked after moving out
     /// of a protected directory.
     fn in_scope(&self, cfg: &Config, path: &VPath) -> bool {
-        cfg.is_protected(path) || self.path_shard(path).lock().tracked.contains_key(path)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        let (mut resident, mut pinned) = (0u64, 0u64);
-        for shard in &self.paths {
-            let s = shard.lock();
-            resident += s.snapshots.len() as u64;
-            pinned += s.pinned_count as u64;
-        }
-        CacheStats {
-            hits: self.cache_hits.load(Ordering::Relaxed),
-            misses: self.cache_misses.load(Ordering::Relaxed),
-            evictions: self.cache_evictions.load(Ordering::Relaxed),
-            resident,
-            pinned,
-            anomalies: self.cache_anomalies.load(Ordering::Relaxed),
-        }
+        cfg.is_protected(path) || self.cache.is_tracked(path)
     }
 }
 
 /// The CryptoDrop filter driver. Build a [`Session`](crate::Session) with
 /// [`CryptoDrop::builder`], register [`Session::fork`](crate::Session::fork)
 /// drivers on [`Vfs`](cryptodrop_vfs::Vfs) instances, and read results
-/// through the session's [`Monitor`] view.
+/// through the session's [`Monitor`] view. A clone is another driver
+/// over the same scoreboard, snapshot cache, detection log, pipeline and
+/// shadow attachments.
 ///
 /// # Examples
 ///
@@ -505,6 +244,7 @@ impl EngineShared {
 /// assert_eq!(session.score(pid), 0);
 /// assert!(session.detections().is_empty());
 /// ```
+#[derive(Clone)]
 pub struct CryptoDrop {
     cfg: Arc<Config>,
     shared: Arc<EngineShared>,
@@ -537,29 +277,12 @@ impl CryptoDrop {
         config: Config,
         telemetry: Telemetry,
     ) -> (CryptoDrop, Monitor) {
-        let decoys: HashSet<VPath> = config.decoy_paths.iter().cloned().collect();
-        let cfg = Arc::new(config);
-        let shared = Arc::new(EngineShared::new(telemetry, decoys));
-        (
-            CryptoDrop {
-                cfg: Arc::clone(&cfg),
-                shared: Arc::clone(&shared),
-                pipeline: None,
-                shadow: None,
-            },
-            Monitor { cfg, shared },
-        )
-    }
-
-    /// Creates another driver over the same scoreboard, snapshot cache,
-    /// detection log, pipeline and shadow attachments.
-    pub(crate) fn fork_inner(&self) -> CryptoDrop {
-        CryptoDrop {
-            cfg: Arc::clone(&self.cfg),
-            shared: Arc::clone(&self.shared),
-            pipeline: self.pipeline.clone(),
-            shadow: self.shadow.clone(),
-        }
+        let shared = Arc::new(EngineShared::new(&config, telemetry));
+        let monitor = Monitor {
+            cfg: Arc::new(config),
+            shared,
+        };
+        (monitor.fork_engine_inner(), monitor)
     }
 
     /// A fork with no pipeline attachment: worker threads and
@@ -567,10 +290,8 @@ impl CryptoDrop {
     /// attachment is kept — deferred analysis must still pin pre-images.
     pub(crate) fn detached_fork(&self) -> CryptoDrop {
         CryptoDrop {
-            cfg: Arc::clone(&self.cfg),
-            shared: Arc::clone(&self.shared),
             pipeline: None,
-            shadow: self.shadow.clone(),
+            ..self.clone()
         }
     }
 
@@ -583,38 +304,6 @@ impl CryptoDrop {
     pub(crate) fn attach_shadow(&mut self, shadow: Arc<cryptodrop_recovery::ShadowStore>) {
         self.shadow = Some(shadow);
     }
-
-    /// The per-shard snapshot capacity implied by
-    /// [`Config::snapshot_cache_capacity`] (0 = unbounded).
-    ///
-    /// Capacities below [`SHARDS`] round up to one slot per shard, so a
-    /// deliberately tiny cap (e.g. the bench `eviction_pressure` probe's
-    /// 8) behaves as 16 single-entry caches: any shard visited by two or
-    /// more paths of a cyclic sweep evicts one to admit the other on
-    /// every pass. That evictions ≈ misses shape is the inherent LRU
-    /// sweep pathology of capacity < working set, not a victim-order
-    /// bug — see `cyclic_sweep_thrash_is_capacity_pathology_not_victim_order`.
-    fn shard_cap(&self) -> usize {
-        match self.cfg.snapshot_cache_capacity {
-            0 => usize::MAX,
-            n => n.div_ceil(SHARDS).max(1),
-        }
-    }
-
-    /// The per-shard pinned-snapshot budget implied by
-    /// [`Config::pinned_snapshot_budget`] (0 = unbounded).
-    fn pinned_shard_cap(&self) -> usize {
-        match self.cfg.pinned_snapshot_budget {
-            0 => usize::MAX,
-            n => n.div_ceil(SHARDS).max(1),
-        }
-    }
-}
-
-impl Clone for CryptoDrop {
-    fn clone(&self) -> Self {
-        self.fork_inner()
-    }
 }
 
 impl Monitor {
@@ -625,7 +314,6 @@ impl Monitor {
 
     /// A filter driver over this monitor's engine state with no pipeline
     /// or shadow attachment.
-    #[cfg(test)]
     pub(crate) fn fork_engine_inner(&self) -> CryptoDrop {
         CryptoDrop {
             cfg: Arc::clone(&self.cfg),
@@ -635,34 +323,24 @@ impl Monitor {
         }
     }
 
+    /// Applies `f` to one process's state, if the engine has seen it.
+    fn with_process<R>(&self, pid: ProcessId, f: impl FnOnce(&ProcessState) -> R) -> Option<R> {
+        self.shared.family_shard(pid).lock().get(&pid).map(f)
+    }
+
     /// The current reputation score of a process (0 if never seen).
     pub fn score(&self, pid: ProcessId) -> u32 {
-        self.shared
-            .family_shard(pid)
-            .lock()
-            .processes
-            .get(&pid)
-            .map_or(0, ProcessState::score)
+        self.with_process(pid, ProcessState::score).unwrap_or(0)
     }
 
     /// The number of pre-existing protected files lost to a process.
     pub fn files_lost(&self, pid: ProcessId) -> u32 {
-        self.shared
-            .family_shard(pid)
-            .lock()
-            .processes
-            .get(&pid)
-            .map_or(0, ProcessState::files_lost)
+        self.with_process(pid, ProcessState::files_lost).unwrap_or(0)
     }
 
     /// A summary of one process's state, if the engine has seen it.
     pub fn summary(&self, pid: ProcessId) -> Option<ProcessSummary> {
-        self.shared
-            .family_shard(pid)
-            .lock()
-            .processes
-            .get(&pid)
-            .map(|p| p.summary(&self.cfg.score))
+        self.with_process(pid, |p| p.summary(&self.cfg.score))
     }
 
     /// Summaries of every process the engine has seen.
@@ -674,7 +352,6 @@ impl Monitor {
             .flat_map(|shard| {
                 shard
                     .lock()
-                    .processes
                     .values()
                     .map(|p| p.summary(&self.cfg.score))
                     .collect::<Vec<_>>()
@@ -706,19 +383,13 @@ impl Monitor {
     /// The full indicator audit trail for one process (every hit with its
     /// points and context), in firing order.
     pub fn hits(&self, pid: ProcessId) -> Vec<crate::indicators::IndicatorHit> {
-        self.shared
-            .family_shard(pid)
-            .lock()
-            .processes
-            .get(&pid)
-            .map(|p| p.hits().to_vec())
-            .unwrap_or_default()
+        self.with_process(pid, |p| p.hits().to_vec()).unwrap_or_default()
     }
 
     /// Snapshot-cache effectiveness counters (fingerprint hits/misses,
     /// LRU evictions, resident path snapshots).
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache_stats()
+        self.shared.cache.stats()
     }
 
     /// The telemetry handle the engine was constructed with (a disabled
@@ -738,12 +409,7 @@ impl Monitor {
     /// pass the family root pid, as carried by [`DetectionReport::pid`].
     pub fn audit_trail(&self, pid: ProcessId) -> Option<crate::audit::AuditTrail> {
         let suspended_at = self.detection_for(pid).map(|d| d.at_nanos);
-        self.shared
-            .family_shard(pid)
-            .lock()
-            .processes
-            .get(&pid)
-            .map(|st| crate::audit::AuditTrail::rebuild(st, &self.cfg, suspended_at))
+        self.with_process(pid, |st| crate::audit::AuditTrail::rebuild(st, &self.cfg, suspended_at))
     }
 
     /// The user reviewed a detection and chose to allow the activity
@@ -754,13 +420,7 @@ impl Monitor {
     ///
     /// Returns `false` if the engine has never seen the pid.
     pub fn permit(&self, pid: ProcessId) -> bool {
-        match self
-            .shared
-            .family_shard(pid)
-            .lock()
-            .processes
-            .get_mut(&pid)
-        {
+        match self.shared.family_shard(pid).lock().get_mut(&pid) {
             Some(st) => {
                 st.mark_permitted();
                 true
@@ -772,29 +432,12 @@ impl Monitor {
 
 impl std::fmt::Debug for CryptoDrop {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let processes: usize = self
-            .shared
-            .families
-            .iter()
-            .map(|s| s.lock().processes.len())
-            .sum();
+        let processes: usize = self.shared.families.iter().map(|s| s.lock().len()).sum();
         f.debug_struct("CryptoDrop")
             .field("processes", &processes)
             .field("detections", &self.shared.detections.lock().len())
             .finish()
     }
-}
-
-/// What the zero-recompute close gate found for the file being closed.
-enum CloseCache {
-    /// Content changed (or the shortcut is off): ordinary recompute.
-    Changed,
-    /// Fingerprint-unchanged and the resident snapshot is present:
-    /// reuse it outright.
-    Unchanged(FileSnapshot),
-    /// Fingerprint-unchanged but the resident snapshot is gone — torn
-    /// cache state that degrades to a recompute plus an anomaly count.
-    Torn,
 }
 
 impl CryptoDrop {
@@ -828,253 +471,50 @@ impl CryptoDrop {
         &self.shared.metrics.eval_ns[indicator as usize]
     }
 
-    /// Evaluates the two content-comparison indicators (type change and
-    /// similarity) of `current` against `snapshot`, awarding hits.
-    ///
-    /// `post_type` is the sniffed type of `current`, computed once by the
-    /// caller (shared with the funneling indicator and the snapshot
-    /// refresh). Returns what the similarity pass learned about the
-    /// post-image's digest so the refresh can reuse it.
-    fn evaluate_content(
-        &self,
-        st: &mut ProcessState,
-        snapshot: &FileSnapshot,
-        current: &[u8],
-        post_type: FileType,
-        path: &VPath,
-        at_nanos: u64,
-    ) -> PostImageDigest {
-        let cfg = &self.cfg;
-        let window = &current[..current.len().min(cfg.max_digest_bytes)];
-        let timer = self.shared.telemetry.start_timer();
-        let (sim_outcome, post_digest) = similarity::evaluate_full(
-            snapshot.digest.as_ref(),
-            snapshot.entropy,
-            window,
-            cfg.score.similarity_match_max,
-            cfg.score.similarity_max_source_entropy,
-        );
-        self.eval_timer(Indicator::Similarity).record_elapsed(timer);
-        self.content_hits(st, snapshot, sim_outcome, post_type, path, at_nanos);
-        post_digest
+    /// Runs `f` on the scoreboard entry of family `key` (created on first
+    /// sight, named `name`) under its family-shard lock. The detection
+    /// log is the only lock ever taken while a family shard is held.
+    fn with_family<R, F: FnOnce(&mut ProcessState) -> R>(&self, key: ProcessId, name: &str, f: F) -> R {
+        let mut fam = self.shared.family_shard(key).lock();
+        f(fam
+            .entry(key)
+            .or_insert_with(|| ProcessState::new(key, name, &self.cfg.score)))
     }
 
-    /// Awards the type-change and similarity hits for one content
-    /// comparison whose similarity outcome is already known — shared
-    /// between [`evaluate_content`](Self::evaluate_content) and the
-    /// incremental close path, which computes the post-image digest from
-    /// dirty extents and evaluates similarity against it directly.
+    /// The type-change and similarity hits of a post-image sniffed as
+    /// `post_type` against the pre-image `pre`, whose similarity outcome
+    /// `sim` is already known.
     fn content_hits(
         &self,
-        st: &mut ProcessState,
-        snapshot: &FileSnapshot,
-        sim_outcome: SimilarityOutcome,
+        pre: &FileSnapshot,
+        sim: SimilarityOutcome,
         post_type: FileType,
         path: &VPath,
         at_nanos: u64,
-    ) {
-        let cfg = &self.cfg;
-        // Dynamic scoring (future work, §V-C): when the similarity
-        // indicator is structurally unavailable for this file — no
-        // pre-image digest exists (sub-512 B or featureless content) —
-        // the remaining content indicator is weighted up to compensate.
-        let type_points = if cfg.dynamic_scoring
-            && matches!(
-                sim_outcome,
-                SimilarityOutcome::Abstain(similarity::AbstainReason::NoPreImageDigest)
-            ) {
-            cfg.score.points_type_change * 2
-        } else {
-            cfg.score.points_type_change
-        };
+    ) -> [Option<IndicatorHit>; 2] {
         let timer = self.shared.telemetry.start_timer();
-        let type_outcome = type_change::evaluate(snapshot.file_type, post_type);
+        let type_outcome = type_change::evaluate(pre.file_type, post_type);
         self.eval_timer(Indicator::TypeChange).record_elapsed(timer);
-        // As with the entropy indicator, a zeroed point value disables
-        // the indicator entirely — it neither scores nor counts toward
-        // union indication (the adversarial study's ablation configs
-        // rely on this).
-        if type_points > 0 {
-            if let TypeChangeOutcome::Changed { before, after } = type_outcome {
-                self.award(
-                    st,
-                    path,
-                    IndicatorHit {
-                        indicator: Indicator::TypeChange,
-                        points: type_points,
-                        value: 1.0,
-                        threshold: 1.0,
-                        detail: format!(
-                            "{} -> {} at {path}",
-                            before.description(),
-                            after.description()
-                        ),
-                        at_nanos,
-                    },
-                );
-            }
-        }
-        if cfg.score.points_similarity > 0 {
-            if let SimilarityOutcome::Dissimilar(score) = sim_outcome {
-                self.award(
-                    st,
-                    path,
-                    IndicatorHit {
-                        indicator: Indicator::Similarity,
-                        points: cfg.score.points_similarity,
-                        value: f64::from(score),
-                        threshold: f64::from(cfg.score.similarity_match_max),
-                        detail: format!("similarity {score}/100 at {path}"),
-                        at_nanos,
-                    },
-                );
-            }
-        }
+        evidence::content_hits(&self.cfg, type_outcome, sim, path, at_nanos)
     }
 
-    /// Resolves the post-close "previous version" snapshot.
-    ///
-    /// The unchanged fast path reuses the resident snapshot. A
-    /// [`CloseCache::Torn`] state — the unchanged gate matched but the
-    /// snapshot is gone, which should be impossible but must not take
-    /// down the filter — is counted and journaled as a cache anomaly and
-    /// degrades to the ordinary miss-path recompute.
-    fn resolve_close_snapshot(
+    /// Compares `current` (sniffed as `post_type`) against the pre-image
+    /// `pre` with the reference similarity pass, which digests the
+    /// post-image itself. Returns the content hits and the post-image
+    /// digest, when the pass computed it, for the refresh to reuse.
+    fn compare_full(
         &self,
-        cached: CloseCache,
+        pre: &FileSnapshot,
         current: &[u8],
         post_type: FileType,
-        reusable_digest: Option<Option<SdDigest>>,
+        path: &VPath,
         at_nanos: u64,
-        pid: ProcessId,
-    ) -> FileSnapshot {
-        match cached {
-            CloseCache::Unchanged(snap) => {
-                self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return snap;
-            }
-            CloseCache::Torn => {
-                self.shared.cache_anomalies.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .telemetry
-                    .journal_event(at_nanos, pid.0, || JournalKind::CacheAnomaly {
-                        context: "close: unchanged fast path found no resident snapshot"
-                            .to_string(),
-                    });
-            }
-            CloseCache::Changed => {}
-        }
-        self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-        FileSnapshot::capture_reusing(
-            current,
-            self.cfg.max_digest_bytes,
-            Some(post_type),
-            reusable_digest,
-        )
-    }
-
-    /// Computes the analysis products of a *changed* close's content under
-    /// incremental analysis: histogram, sdhash digest + feature cache, and
-    /// full-content fingerprint. Returns `true` in the last slot when the
-    /// dirty-extent delta path was taken (histogram updated by
-    /// subtract/add, unchanged sdhash feature runs spliced from the
-    /// cache); `false` when it fell back to the whole-content recompute.
-    ///
-    /// The delta path requires an unbroken chain of custody: the resident
-    /// snapshot retained its intermediates, its stamp equals the dirty
-    /// report's base stamp (the snapshot describes exactly the content the
-    /// handle started from), the close-time stamp equals the report's last
-    /// stamp (no other handle interfered after the last write), the file
-    /// did not shrink, and the whole content fits the digest window in
-    /// both states. Every product is bit-identical to a from-scratch
-    /// recompute — the histogram delta is exact integer arithmetic and the
-    /// sdhash splice is exact by construction (property-tested).
-    #[allow(clippy::type_complexity)]
-    fn close_products(
-        &self,
-        snapshot: Option<&FileSnapshot>,
-        current: &[u8],
-        stamp: u64,
-        dirty: Option<&DirtyReport>,
-    ) -> (ByteHistogram, Option<SdDigest>, Option<FeatureCache>, u64, bool) {
-        let window = &current[..current.len().min(self.cfg.max_digest_bytes)];
-        'delta: {
-            let (Some(snap), Some(d)) = (snapshot, dirty) else {
-                break 'delta;
-            };
-            let Some(incr) = snap.incr.as_deref() else {
-                break 'delta;
-            };
-            if d.full
-                || stamp == 0
-                || snap.stamp == 0
-                || d.base_stamp != snap.stamp
-                || d.last_stamp != stamp
-                || snap.len != d.base_len
-                || (current.len() as u64) < d.base_len
-                || current.len() > self.cfg.max_digest_bytes
-            {
-                break 'delta;
-            }
-            let mut histogram = incr.histogram.clone();
-            let mut spans = [(0usize, 0usize); MAX_DIRTY_EXTENTS];
-            for (i, e) in d.extents.iter().enumerate() {
-                let lo = e.start as usize;
-                let hi = (e.end as usize).min(current.len());
-                histogram.replace(&e.pre, &current[lo..hi]);
-                spans[i] = (lo, hi);
-            }
-            let recomputed = incr
-                .features
-                .as_ref()
-                .and_then(|c| SdDigest::recompute_dirty(c, current, &spans[..d.extents.len()]));
-            // A `None` splice (or an undigestible base) recomputes sdhash
-            // from scratch — the histogram delta above still stands.
-            let (digest, features) = match recomputed {
-                Some((dg, cache)) => (Some(dg), Some(cache)),
-                None => match SdDigest::compute_with_cache(window) {
-                    Some((dg, cache)) => (Some(dg), Some(cache)),
-                    None => (None, None),
-                },
-            };
-            return (histogram, digest, features, content_fingerprint(current), true);
-        }
-        let (histogram, fingerprint) = if window.len() == current.len() {
-            ByteHistogram::from_bytes_with_fingerprint(window)
-        } else {
-            (
-                ByteHistogram::from_bytes(window),
-                content_fingerprint(current),
-            )
-        };
-        let (digest, features) = match SdDigest::compute_with_cache(window) {
-            Some((dg, cache)) => (Some(dg), Some(cache)),
-            None => (None, None),
-        };
-        (histogram, digest, features, fingerprint, false)
-    }
-
-    /// The close path's common tail: the file's "previous version" is now
-    /// what was just written, so both snapshot indices are refreshed with
-    /// `fresh` (eviction-counted on the path side).
-    fn finish_close(&self, path: &VPath, file: FileId, fresh: FileSnapshot) {
-        self.shared
-            .file_shard(file)
-            .lock()
-            .snapshots
-            .insert(file, fresh.clone());
-        let tick = self.shared.next_tick();
-        let evicted = self.shared.path_shard(path).lock().insert_snapshot(
-            path.clone(),
-            fresh,
-            tick,
-            self.shard_cap(),
-        );
-        if evicted > 0 {
-            self.shared
-                .cache_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
+    ) -> ([Option<IndicatorHit>; 2], Option<Option<SdDigest>>) {
+        let timer = self.shared.telemetry.start_timer();
+        let (sim, post_digest) = evidence::similarity_full(&self.cfg, pre, current);
+        self.eval_timer(Indicator::Similarity).record_elapsed(timer);
+        let hits = self.content_hits(pre, sim, post_type, path, at_nanos);
+        (hits, post_digest.into_reusable())
     }
 
     /// The file's content stamp, but only when an operation payload of
@@ -1105,9 +545,8 @@ impl CryptoDrop {
         if stamp == 0 || len > self.cfg.max_digest_bytes {
             return None;
         }
-        let shard = self.shared.file_shard(file).lock();
-        let snap = shard.snapshots.get(&file)?;
-        (snap.stamp == stamp && snap.len == len as u64).then_some(snap.entropy)
+        let same = |s: &FileSnapshot| s.stamp == stamp && s.len == len as u64;
+        self.shared.cache.resident(file, |s| same(s).then_some(s.entropy)).flatten()
     }
 
     /// Whether processing `rec` inline is provably cheap — every content
@@ -1123,20 +562,13 @@ impl CryptoDrop {
     /// "enqueue it".
     pub(crate) fn record_is_light(&self, rec: &OpRecord<'_>) -> bool {
         let cfg = &self.cfg;
+        let cache = &self.shared.cache;
         match &rec.body {
             // O(1) when the resident path snapshot already carries this
-            // stamp (the `apply_refresh` fast branch); otherwise a full
+            // stamp (the refresh's fast branch); otherwise a full
             // fingerprint pass or capture runs.
             RecordBody::Refresh { path, stamp, .. } => {
-                cfg.fingerprint_cache
-                    && *stamp != 0
-                    && self
-                        .shared
-                        .path_shard(path.as_ref())
-                        .lock()
-                        .snapshots
-                        .get(path.as_ref())
-                        .is_some_and(|e| e.snap.stamp == *stamp)
+                cfg.fingerprint_cache && *stamp != 0 && cache.path_has_stamp(path, *stamp)
             }
             // No content pass at all: map probes and score bookkeeping.
             RecordBody::Open { .. } | RecordBody::Truncate { .. } | RecordBody::Delete { .. } => {
@@ -1164,42 +596,26 @@ impl CryptoDrop {
                 dirty,
                 ..
             } => {
-                if *stamp == 0 {
-                    return false;
-                }
-                let tier1_guard = cfg.fingerprint_cache && cfg.score.similarity_match_max < 100;
-                let delta_capable = |d: &cryptodrop_vfs::DirtyReport| {
-                    cfg.incremental_analysis
-                        && !d.full
-                        && d.last_stamp == *stamp
-                        && current.len() <= cfg.max_digest_bytes
-                        && (current.len() as u64) >= d.base_len
-                };
-                let shard = self.shared.file_shard(*file).lock();
-                let Some(snap) = shard.snapshots.get(file) else {
-                    return false;
-                };
-                (tier1_guard && snap.stamp == *stamp)
-                    || dirty.as_deref().is_some_and(|d| {
-                        delta_capable(d)
-                            && snap.stamp != 0
-                            && snap.stamp == d.base_stamp
-                            && snap.len == d.base_len
-                            && snap.incr.is_some()
-                    })
+                *stamp != 0
+                    && cache
+                        .resident(*file, |snap| {
+                            (evidence::unchanged_shortcut(cfg) && snap.stamp == *stamp)
+                                || dirty.as_deref().is_some_and(|d| {
+                                    evidence::delta_applies(cfg, snap, current.len(), *stamp, d)
+                                })
+                        })
+                        .unwrap_or(false)
             }
             // A replaced protected destination drags in the Class C
             // content evaluation; a plain move is bookkeeping.
-            RecordBody::Rename { dest_current, .. } => dest_current.is_none(),
+            RecordBody::Rename { replaced, .. } => replaced.as_ref().is_none_or(|(_, c)| c.is_none()),
         }
     }
 
     /// After awarding hits, checks the threshold — against the score
     /// *decayed to the record's simulated time* when a
     /// [`DecayPolicy`](crate::DecayPolicy) is configured — and issues the
-    /// verdict. Lock order: the caller holds the family shard; the
-    /// detection log is the only lock ever taken while a family shard is
-    /// held.
+    /// verdict. The caller holds the family shard.
     fn verdict_for(&self, st: &mut ProcessState, at_nanos: u64) -> Verdict {
         let cfg = &self.cfg;
         if st.is_detected() {
@@ -1227,12 +643,20 @@ impl CryptoDrop {
             }
             return Verdict::Allow;
         }
+        Verdict::suspend(self.detect(st, score, at_nanos))
+    }
+
+    /// Marks the family detected at `score`, publishes its
+    /// [`DetectionReport`], and returns the report's suspension reason.
+    /// The caller holds the family shard; the detection log is the only
+    /// lock taken while it is held.
+    fn detect(&self, st: &mut ProcessState, score: u32, at_nanos: u64) -> String {
         st.mark_detected();
         let report = DetectionReport {
             pid: st.pid(),
             process_name: st.name().to_string(),
             score,
-            threshold,
+            threshold: st.effective_threshold(&self.cfg.score),
             union_triggered: st.union_triggered(),
             files_lost: st.files_lost(),
             at_nanos,
@@ -1243,257 +667,7 @@ impl CryptoDrop {
         if self.shared.telemetry.is_enabled() {
             self.shared.metrics.detections.inc();
         }
-        Verdict::suspend(reason)
-    }
-
-    /// The decoy endpoint a destructive operation touches, if any. Reads,
-    /// closes, and directory listings never trip a decoy — enumeration
-    /// tools may list and read bait files freely — but a write-open,
-    /// write, truncate, delete, either rename endpoint, or attribute
-    /// change on one is an instant detection (GuardFS-style bait, §V-F
-    /// "future work" territory: no legitimate workflow modifies a decoy).
-    fn decoy_hit<'a>(&self, op: &FsOp<'a>) -> Option<&'a VPath> {
-        let d = &self.shared.decoys;
-        match *op {
-            FsOp::Open { path, options } if options.write && d.contains(path) => Some(path),
-            FsOp::Write { path, .. } | FsOp::Truncate { path, .. } if d.contains(path) => {
-                Some(path)
-            }
-            FsOp::Delete { path } if d.contains(path) => Some(path),
-            FsOp::Rename { from, .. } if d.contains(from) => Some(from),
-            FsOp::Rename { to, .. } if d.contains(to) => Some(to),
-            FsOp::SetAttr { path, .. } if d.contains(path) => Some(path),
-            _ => None,
-        }
-    }
-
-    /// Issues the maximum-confidence decoy verdict: marks the family
-    /// detected (publishing a [`DetectionReport`] at its current — often
-    /// zero — score) and suspends it immediately. Same lock discipline as
-    /// [`Self::verdict_for`]: the detection log is the only lock taken
-    /// while the family shard is held.
-    fn decoy_verdict(&self, ctx: &OpContext<'_>, key: ProcessId, decoy: &VPath) -> Verdict {
-        let mut fam = self.shared.family_shard(key).lock();
-        let st = FamilyShard::process_mut(&mut fam.processes, &self.cfg, key, ctx.process_name);
-        if !st.is_detected() {
-            st.mark_detected();
-            let report = DetectionReport {
-                pid: st.pid(),
-                process_name: st.name().to_string(),
-                score: st.decayed_score(&self.cfg.score, ctx.at_nanos),
-                threshold: st.effective_threshold(&self.cfg.score),
-                union_triggered: st.union_triggered(),
-                files_lost: st.files_lost(),
-                at_nanos: ctx.at_nanos,
-                primaries_seen: st.primaries_seen().collect(),
-            };
-            self.shared.detections.lock().push(report);
-            if self.shared.telemetry.is_enabled() {
-                self.shared.metrics.detections.inc();
-                self.shared.metrics.decoy_trips.inc();
-            }
-        }
-        Verdict::suspend(format!(
-            "cryptodrop: decoy file {} modified",
-            decoy.as_str()
-        ))
-    }
-
-    /// Time-axis throttling (pre-operation), two composable components:
-    ///
-    /// * **Reputation throttling** — once a family's (decayed) score has
-    ///   reached [`ThrottlePolicy::score`](crate::ThrottlePolicy::score),
-    ///   each destructive in-scope operation is delayed proportionally to
-    ///   the score.
-    /// * **Rate-budget throttling** — while the family's
-    ///   first-modification token bucket is dry
-    ///   ([`Config::rate_budget`]), each destructive in-scope operation is
-    ///   additionally delayed by
-    ///   [`RateBudget::throttle_nanos`](crate::RateBudget::throttle_nanos).
-    ///   Unlike reputation throttling this engages on *behavioral rate*
-    ///   alone, before any indicator has scored — the budget is drawn
-    ///   down by the Write analysis path (see `RecordBody::Write`) and
-    ///   refilled here against the operation's simulated time.
-    ///
-    /// The delays add; returns `None` when the operation should proceed
-    /// undelayed.
-    fn throttle_verdict(&self, ctx: &OpContext<'_>, key: ProcessId) -> Option<Verdict> {
-        let cfg = &self.cfg;
-        if cfg.throttle.is_none() && cfg.rate_budget.is_none() {
-            return None;
-        }
-        let in_scope = match ctx.op {
-            FsOp::Open { path, options } if options.write => self.shared.in_scope(cfg, path),
-            FsOp::Write { path, .. }
-            | FsOp::Truncate { path, .. }
-            | FsOp::Delete { path }
-            | FsOp::SetAttr { path, .. } => self.shared.in_scope(cfg, path),
-            FsOp::Rename { from, to, .. } => {
-                self.shared.in_scope(cfg, from) || self.shared.in_scope(cfg, to)
-            }
-            _ => false,
-        };
-        if !in_scope {
-            return None;
-        }
-        let (score, rate_dry) = {
-            let mut fam = self.shared.family_shard(key).lock();
-            match fam.processes.get_mut(&key) {
-                Some(st) => (
-                    st.decayed_score(&cfg.score, ctx.at_nanos),
-                    cfg.rate_budget.is_some_and(|budget| {
-                        st.rate_refill(
-                            ctx.at_nanos,
-                            budget.capacity,
-                            budget.refill_nanos_per_token,
-                        ) == 0
-                    }),
-                ),
-                // A never-seen family has a full bucket and no score.
-                None => (0, false),
-            }
-        };
-        let mut delay = 0u64;
-        if let Some(throttle) = cfg.throttle.filter(|t| score >= t.score) {
-            delay = u64::from(score).saturating_mul(throttle.nanos_per_point);
-            if self.shared.telemetry.is_enabled() {
-                self.shared.metrics.throttled_ops.inc();
-            }
-        }
-        if let Some(budget) = cfg.rate_budget.filter(|_| rate_dry) {
-            delay = delay.saturating_add(budget.throttle_nanos);
-            if self.shared.telemetry.is_enabled() {
-                self.shared.metrics.rate_throttled.inc();
-                self.shared
-                    .telemetry
-                    .journal_event(ctx.at_nanos, key.0, || JournalKind::RateBudget {
-                        tokens: 0,
-                        delay_nanos: budget.throttle_nanos,
-                    });
-            }
-        }
-        if delay == 0 {
-            None
-        } else {
-            Some(Verdict::throttle(delay))
-        }
-    }
-
-    /// Refreshes the path-keyed snapshot of `path` from `data` (its
-    /// content at capture time). A resident snapshot carrying the same
-    /// nonzero content stamp is reused in O(1); matching content
-    /// fingerprints (the O(n) pass, only consulted when a stamp is
-    /// unknown) also reuse it. On a miss, `memo` — the slot of the staged
-    /// content `data` still equals, if any — lends the snapshot another
-    /// namespace already captured (see [`Self::staged_snapshot`]). The
-    /// expensive capture runs without any shard lock held.
-    fn apply_refresh(&self, path: &VPath, data: &[u8], stamp: u64, memo: Option<&MemoSlot>) {
-        let tick = self.shared.next_tick();
-        let shard = self.shared.path_shard(path);
-        if self.cfg.fingerprint_cache {
-            let mut guard = shard.lock();
-            if let Some(entry) = guard.snapshots.get_mut(path) {
-                if stamp != 0 && entry.snap.stamp == stamp {
-                    entry.tick = tick;
-                    drop(guard);
-                    self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                // Two known, different stamps prove the content changed;
-                // only an unknown stamp needs the fingerprint pass.
-                if (stamp == 0 || entry.snap.stamp == 0)
-                    && entry.snap.fingerprint == content_fingerprint(data)
-                {
-                    entry.tick = tick;
-                    if self.cfg.incremental_analysis && stamp != 0 {
-                        // Adopt the stamp so the next refresh is O(1).
-                        entry.snap.stamp = stamp;
-                    }
-                    drop(guard);
-                    self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-        }
-        // The no-cache reference mode computes everything itself.
-        let (snap, captured) = match memo.filter(|_| self.cfg.fingerprint_cache) {
-            Some(slot) => self.staged_snapshot(slot, data, stamp),
-            None => (self.capture_snapshot(data, stamp), true),
-        };
-        if captured {
-            self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let evicted = shard
-            .lock()
-            .insert_snapshot(path.clone(), snap, tick, self.shard_cap());
-        if evicted > 0 {
-            self.shared
-                .cache_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// A fresh refresh snapshot of `data` under this engine's config.
-    fn capture_snapshot(&self, data: &[u8], stamp: u64) -> FileSnapshot {
-        if self.cfg.incremental_analysis {
-            FileSnapshot::capture_incremental(data, self.cfg.max_digest_bytes, stamp, None)
-        } else {
-            FileSnapshot::capture(data, self.cfg.max_digest_bytes)
-        }
-    }
-
-    /// The refresh snapshot of staged content, captured at most once for
-    /// every namespace sharing `slot`, and whether this call captured.
-    ///
-    /// `data` equals the bytes the slot was staged with (the VFS detaches
-    /// the slot before any byte changes), `stamp` is their content stamp,
-    /// and a capture is a pure function of the bytes and the two config
-    /// inputs recorded beside it. So an entry whose recorded inputs match
-    /// is exactly the snapshot a local capture would produce; an engine
-    /// whose inputs differ captures locally and leaves the entry alone.
-    /// The snapshot's [`IncrState`] is shared, not copied, and serves the
-    /// delta tier of a later close as a local one would.
-    fn staged_snapshot(&self, slot: &MemoSlot, data: &[u8], stamp: u64) -> (FileSnapshot, bool) {
-        let mut captured = false;
-        let memo = slot.get_or_init(|| {
-            captured = true;
-            Arc::new(StagedSnapshot {
-                max_digest_bytes: self.cfg.max_digest_bytes,
-                incremental: self.cfg.incremental_analysis,
-                snap: self.capture_snapshot(data, stamp),
-            })
-        });
-        match memo.downcast_ref::<StagedSnapshot>() {
-            Some(m)
-                if m.max_digest_bytes == self.cfg.max_digest_bytes
-                    && m.incremental == self.cfg.incremental_analysis =>
-            {
-                (m.snap.clone(), captured)
-            }
-            _ => (self.capture_snapshot(data, stamp), true),
-        }
-    }
-
-    /// The verdict-critical family gate, run inline on every operation:
-    /// `Some(Allow)` for a user-permitted family, `Some(Suspend)` for an
-    /// already-detected one, `None` when analysis should proceed.
-    fn family_gate(&self, key: ProcessId) -> Option<Verdict> {
-        let fam = self.shared.family_shard(key).lock();
-        let p = fam.processes.get(&key)?;
-        if p.is_permitted() {
-            // The user explicitly allowed this activity: no further
-            // scoring or re-suspension (§IV-A).
-            Some(Verdict::Allow)
-        } else if p.is_detected() {
-            // Already detected: block any family member that is still
-            // issuing operations (the issuer itself is normally already
-            // suspended by the VFS; siblings are caught here).
-            Some(Verdict::suspend(FAMILY_FLAGGED))
-        } else {
-            None
-        }
+        reason
     }
 
     /// The scoring key for an operation context: the family root when
@@ -1552,7 +726,7 @@ impl CryptoDrop {
         let body = match (ctx.op, outcome) {
             (FsOp::Open { path, .. }, OpOutcome::Open { file, created, .. }) => {
                 if *created {
-                    self.shared.file_shard(*file).lock().created.insert(*file);
+                    self.shared.cache.mark_created(*file);
                 }
                 if !self.shared.in_scope(cfg, path) {
                     return None;
@@ -1626,41 +800,27 @@ impl CryptoDrop {
             (FsOp::Rename { from, to, .. }, OpOutcome::Rename { file, replaced }) => {
                 let from_protected = cfg.is_protected(from);
                 let to_protected = cfg.is_protected(to);
-                let was_tracked = self
-                    .shared
-                    .path_shard(from)
-                    .lock()
-                    .tracked
-                    .remove(from)
-                    .is_some();
+                let was_tracked = self.shared.cache.untrack(from);
                 if !(from_protected || to_protected || was_tracked) {
                     return None;
                 }
                 // The Class C link needs the destination's post-move
                 // content; capture it now so the analysis never reads the
                 // filesystem.
-                let dest_current = if to_protected && replaced.is_some() {
-                    fs.read_file(to).ok()
-                } else {
-                    None
-                };
+                let replaced = replaced
+                    .filter(|_| to_protected)
+                    .map(|id| (id, fs.read_file(to).ok()));
                 // Track files leaving the protected directories (Class B).
                 // This is fast-path bookkeeping: the very next operation's
                 // scope check must already see the tracked path.
                 if cfg.track_moved_files && !to_protected && (from_protected || was_tracked) {
-                    self.shared
-                        .path_shard(to)
-                        .lock()
-                        .tracked
-                        .insert(to.clone(), *file);
+                    self.shared.cache.track(to, *file);
                 }
                 RecordBody::Rename {
                     from: Cow::Borrowed(from),
                     to: Cow::Borrowed(to),
                     file: *file,
-                    replaced: *replaced,
-                    to_protected,
-                    dest_current,
+                    replaced,
                 }
             }
 
@@ -1678,486 +838,326 @@ impl CryptoDrop {
     /// The analysis body: consumes one record, runs the indicators, awards
     /// scores, and returns the verdict. A pure function of the record
     /// stream over the sharded state — it never touches the filesystem, so
-    /// it runs identically inline or on a pipeline worker thread.
+    /// it runs identically inline or on a pipeline worker thread. Each
+    /// operation has its own handler below.
     pub(crate) fn process_record(&self, rec: &OpRecord<'_>) -> Verdict {
-        let cfg = &self.cfg;
-        let at = rec.at_nanos;
-        let key = rec.key;
-
-        if let RecordBody::Refresh {
-            path,
-            data,
-            stamp,
-            memo,
-        } = &rec.body
-        {
-            // Refreshes are not gated: a permitted family keeps its
-            // snapshots fresh for other processes' pre-images.
-            self.apply_refresh(path.as_ref(), data, *stamp, memo.as_ref());
-            return Verdict::Allow;
-        }
         // Re-run the family gate: a queued record may be processed after
         // its family was detected (or permitted) by an earlier record.
-        if let Some(v) = self.family_gate(key) {
-            return v;
+        // Refreshes are not gated: a permitted family keeps its
+        // snapshots fresh for other processes' pre-images.
+        if !matches!(rec.body, RecordBody::Refresh { .. }) {
+            if let Some(v) = self.family_gate(rec.key) {
+                return v;
+            }
         }
-
         match &rec.body {
-            RecordBody::Refresh { .. } => Verdict::Allow, // handled above
-
-            RecordBody::Open { path, file } => {
-                let path = path.as_ref();
-                let tick = self.shared.next_tick();
-                // Touch the LRU tick and read the stamp without cloning:
-                // on a reopen the file shard usually still holds this
-                // snapshot, and a matching nonzero stamp proves it
-                // content-identical — the steady-state open then costs
-                // two map probes and zero allocations.
-                let stamp = {
-                    let mut shard = self.shared.path_shard(path).lock();
-                    shard.snapshots.get_mut(path).map(|e| {
-                        e.tick = tick;
-                        e.snap.stamp
-                    })
-                };
-                let Some(stamp) = stamp else {
-                    return Verdict::Allow;
-                };
-                if stamp != 0
-                    && self
-                        .shared
-                        .file_shard(*file)
-                        .lock()
-                        .snapshots
-                        .get(file)
-                        .is_some_and(|s| s.stamp == stamp)
-                {
-                    return Verdict::Allow;
-                }
-                let snap = self
-                    .shared
-                    .path_shard(path)
-                    .lock()
-                    .get_snapshot(path, tick);
-                if let Some(snap) = snap {
-                    self.shared
-                        .file_shard(*file)
-                        .lock()
-                        .snapshots
-                        .insert(*file, snap);
-                }
+            RecordBody::Refresh {
+                path,
+                data,
+                stamp,
+                memo,
+            } => {
+                let cache = &self.shared.cache;
+                cache.refresh(&self.cfg, path, data, *stamp, memo.as_ref());
                 Verdict::Allow
             }
-
+            RecordBody::Open { path, file } => {
+                self.shared.cache.open(path, *file);
+                Verdict::Allow
+            }
             RecordBody::Read {
                 path,
                 file,
                 offset,
                 data,
                 stamp,
-            } => {
-                let path = path.as_ref();
-                let known = self.known_entropy(*file, *stamp, data.len());
-                if known.is_some() && self.shared.telemetry.is_enabled() {
-                    self.shared.metrics.incr_stamp_skips.inc();
-                }
-                // Resolve the payload's entropy once: folded into this
-                // family's tracker below, and recorded as the file's read
-                // baseline for the collusion defense. `entropy_lut_of` is
-                // the exact fold `observe_read` delegates to, so routing
-                // both paths through `observe_read_known` is bit-identical
-                // to the split the pre-baseline engine used.
-                let entropy = match known {
-                    Some(entropy) => {
-                        debug_assert_eq!(
-                            entropy,
-                            cryptodrop_entropy::entropy_lut_of(data),
-                            "snapshot entropy drifted from the payload's"
-                        );
-                        entropy
-                    }
-                    None => cryptodrop_entropy::entropy_lut_of(data),
-                };
-                if cfg.score.points_entropy_delta > 0 && !data.is_empty() {
-                    let mut shard = self.shared.file_shard(*file).lock();
-                    let b = shard.read_baselines.entry(*file).or_insert(ReadBaseline {
-                        weighted: 0.0,
-                        len: 0,
-                        reader_key: key,
-                        reader_pid: rec.issuer,
-                    });
-                    if b.reader_key != key {
-                        // A new family took over reading this file: its
-                        // observations supersede the stale baseline.
-                        *b = ReadBaseline {
-                            weighted: 0.0,
-                            len: 0,
-                            reader_key: key,
-                            reader_pid: rec.issuer,
-                        };
-                    }
-                    b.weighted += entropy * data.len() as f64;
-                    b.len += data.len() as u64;
-                    b.reader_pid = rec.issuer;
-                }
-                let mut fam = self.shared.family_shard(key).lock();
-                let st =
-                    FamilyShard::process_mut(&mut fam.processes, cfg, key, &rec.process_name);
-                st.entropy_mut().observe_read_known(entropy, data.len() as u64);
-                // Sample the file's type from its leading bytes exactly once
-                // per file for the funneling indicator.
-                if *offset == 0 && !data.is_empty() && st.first_read(*file) {
-                    let timer = self.shared.telemetry.start_timer();
-                    let levels = st.funnel_mut().record_read(sniff(data));
-                    self.eval_timer(Indicator::Funneling).record_elapsed(timer);
-                    if levels > 0 {
-                        let points = levels * cfg.score.points_funneling;
-                        let gap = st.funnel().gap();
-                        self.award(
-                            st,
-                            path,
-                            IndicatorHit {
-                                indicator: Indicator::Funneling,
-                                points,
-                                value: f64::from(gap),
-                                threshold: f64::from(cfg.score.funnel_gap),
-                                detail: format!("type funnel widened reading {path}"),
-                                at_nanos: at,
-                            },
-                        );
-                    }
-                }
-                self.verdict_for(st, at)
-            }
-
+            } => self.on_read(rec, path, *file, *offset, data, *stamp),
             RecordBody::Write { path, file, data, stamp } => {
-                let path = path.as_ref();
-                let known = if cfg.score.points_entropy_delta > 0 {
-                    self.known_entropy(*file, *stamp, data.len())
-                } else {
-                    None
-                };
-                if known.is_some() && self.shared.telemetry.is_enabled() {
-                    self.shared.metrics.incr_stamp_skips.inc();
-                }
-                // One file-shard probe fetches the creation state and
-                // retires the read baseline: this write replaces the
-                // content the baseline described.
-                let (created, baseline) = {
-                    let mut shard = self.shared.file_shard(*file).lock();
-                    (
-                        shard.created.contains(file),
-                        shard.read_baselines.remove(file),
-                    )
-                };
-                let mut fam = self.shared.family_shard(key).lock();
-                let st =
-                    FamilyShard::process_mut(&mut fam.processes, cfg, key, &rec.process_name);
-                if !created {
-                    st.record_loss(*file);
-                }
-                // First modifications of distinct files are the unit of
-                // account for both time-axis defenses: the write-burst
-                // indicator (future work, §V-F) and the family rate
-                // budget. A zeroed `points_burst` disables the burst
-                // indicator entirely — no window bookkeeping, no 0-point
-                // hits — matching the other indicators' zeroed-points
-                // semantics.
-                let burst_on = cfg.score.points_burst > 0;
-                if (burst_on || cfg.rate_budget.is_some()) && st.first_modification(*file) {
-                    if let Some(budget) = cfg.rate_budget {
-                        let drawn =
-                            st.rate_consume(at, budget.capacity, budget.refill_nanos_per_token);
-                        if self.shared.telemetry.is_enabled() {
-                            if drawn {
-                                self.shared.metrics.rate_consumed.inc();
-                            } else {
-                                self.shared.metrics.rate_exhausted.inc();
-                            }
-                        }
-                    }
-                    if burst_on {
-                        let timer = self.shared.telemetry.start_timer();
-                        let burst = st.record_burst(
-                            at,
-                            cfg.score.burst_window_nanos,
-                            cfg.score.burst_threshold,
-                        );
-                        self.eval_timer(Indicator::WriteBurst).record_elapsed(timer);
-                        if burst {
-                            let in_window = st.burst_window_len();
-                            self.award(
-                                st,
-                                path,
-                                IndicatorHit {
-                                    indicator: Indicator::WriteBurst,
-                                    points: cfg.score.points_burst,
-                                    value: in_window as f64,
-                                    threshold: f64::from(cfg.score.burst_threshold),
-                                    detail: format!("modification burst at {path}"),
-                                    at_nanos: at,
-                                },
-                            );
-                        }
-                    }
-                }
-                // (A zeroed point value disables the indicator entirely —
-                // the isolation study relies on this.)
-                if cfg.score.points_entropy_delta > 0 {
-                    // Collusion defense: a file whose read baseline was
-                    // built by a *different* family hands that baseline to
-                    // the writer before the write is folded in — the
-                    // reader/writer split no longer severs the read side
-                    // of the entropy delta (each file inherits at most
-                    // once per writing family).
-                    if let Some(b) = baseline {
-                        if b.reader_key != key && b.len > 0 && st.inherit_read_baseline(*file) {
-                            st.entropy_mut().observe_read_known(b.entropy(), b.len);
-                            if self.shared.telemetry.is_enabled() {
-                                self.shared.metrics.baselines_inherited.inc();
-                                self.shared.telemetry.journal_event(at, key.0, || {
-                                    JournalKind::BaselineInherited {
-                                        path: path.as_str().to_string(),
-                                        reader_pid: b.reader_pid.0,
-                                    }
-                                });
-                            }
-                        }
-                    }
-                    let timer = self.shared.telemetry.start_timer();
-                    let fired = match known {
-                        Some(entropy) => {
-                            debug_assert_eq!(
-                                entropy,
-                                cryptodrop_entropy::entropy_lut_of(data),
-                                "snapshot entropy drifted from the payload's"
-                            );
-                            st.entropy_mut().observe_write_known(entropy, data.len() as u64)
-                        }
-                        None => st.entropy_mut().observe_write(data),
-                    };
-                    self.eval_timer(Indicator::EntropyDelta).record_elapsed(timer);
-                    if fired {
-                        let delta = st.entropy().delta().unwrap_or_default();
-                        // Small writes earn proportionally fewer points: a
-                        // flood of tiny-file encryptions should not outpace
-                        // the content indicators (paper §V-C's small-file
-                        // dynamics).
-                        let scale = (data.len() as f64
-                            / cfg.score.entropy_full_weight_bytes.max(1) as f64)
-                            .min(1.0);
-                        let points =
-                            ((cfg.score.points_entropy_delta as f64 * scale).round() as u32).max(1);
-                        self.award(
-                            st,
-                            path,
-                            IndicatorHit {
-                                indicator: Indicator::EntropyDelta,
-                                points,
-                                value: delta,
-                                threshold: cfg.score.entropy_delta_threshold,
-                                detail: format!("write/read entropy delta {delta:.3} at {path}"),
-                                at_nanos: at,
-                            },
-                        );
-                    }
-                }
-                self.verdict_for(st, at)
+                self.on_write(rec, path, *file, data, *stamp)
             }
-
-            RecordBody::Truncate { file } => {
-                let created = {
-                    let mut shard = self.shared.file_shard(*file).lock();
-                    // Truncation destroys the content the read baseline
-                    // described.
-                    shard.read_baselines.remove(file);
-                    shard.created.contains(file)
-                };
-                let mut fam = self.shared.family_shard(key).lock();
-                let st =
-                    FamilyShard::process_mut(&mut fam.processes, cfg, key, &rec.process_name);
-                if !created {
-                    st.record_loss(*file);
-                }
-                self.verdict_for(st, at)
-            }
-
+            RecordBody::Truncate { file } => self.on_truncate(rec, *file),
             RecordBody::Close {
                 path,
                 file,
                 current,
                 stamp,
                 dirty,
+            } => self.on_close(rec, path, *file, current, *stamp, dirty.as_deref()),
+            RecordBody::Delete { path, file } => self.on_delete(rec, path, *file),
+            RecordBody::Rename {
+                from,
+                to,
+                file,
+                replaced,
             } => {
-                let path = path.as_ref();
-                let current: &[u8] = current.as_ref();
-                let stamp = *stamp;
-                // The degenerate `similarity_match_max >= 100`
-                // configuration would count even self-similarity as
-                // dissimilar, so it disables every unchanged shortcut.
-                let shortcut_ok = cfg.fingerprint_cache && cfg.score.similarity_match_max < 100;
+                let verdict = replaced.as_ref().map_or(Verdict::Allow, |(id, current)| {
+                    self.on_replace(rec, to, *id, current.as_deref())
+                });
+                self.shared.cache.follow_move(from, to, *file);
+                verdict
+            }
+        }
+    }
 
-                // Tier 1 — stamp-unchanged, O(1): the close-time content
-                // stamp equals the resident snapshot's, so the content is
-                // byte-identical to the pre-image. No content indicator
-                // can fire (same type; self-similarity is 100), the
-                // funneling indicator reuses the snapshot's sniffed type,
-                // and both snapshot indices are already current — only the
-                // path entry's LRU tick needs touching. No sniff, no
-                // fingerprint pass, no snapshot clone, no allocation.
-                if shortcut_ok && stamp != 0 {
-                    let resident_type = {
-                        let fsh = self.shared.file_shard(*file).lock();
-                        fsh.snapshots
-                            .get(file)
-                            .and_then(|s| (s.stamp == stamp).then_some(s.file_type))
-                    };
-                    if let Some(file_type) = resident_type {
-                        self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        if self.shared.telemetry.is_enabled() {
-                            self.shared.metrics.incr_stamp_skips.inc();
-                        }
-                        let verdict = {
-                            let mut fam = self.shared.family_shard(key).lock();
-                            let st = FamilyShard::process_mut(
-                                &mut fam.processes,
-                                cfg,
-                                key,
-                                &rec.process_name,
-                            );
-                            if !current.is_empty() {
-                                let levels = st.funnel_mut().record_written(file_type);
-                                debug_assert_eq!(
-                                    levels, 0,
-                                    "writing types can only narrow the funnel"
-                                );
-                            }
-                            self.verdict_for(st, at)
-                        };
-                        let tick = self.shared.next_tick();
-                        let path_stale = {
-                            let mut shard = self.shared.path_shard(path).lock();
-                            match shard.snapshots.get_mut(path) {
-                                Some(e) if e.snap.stamp == stamp => {
-                                    e.tick = tick;
-                                    false
-                                }
-                                _ => true,
-                            }
-                        };
-                        if path_stale {
-                            // The path index lost (or never had) this
-                            // version: re-seed it from the id index.
-                            let snap = self
-                                .shared
-                                .file_shard(*file)
-                                .lock()
-                                .snapshots
-                                .get(file)
-                                .cloned();
-                            if let Some(snap) = snap {
-                                let evicted = self.shared.path_shard(path).lock().insert_snapshot(
-                                    path.clone(),
-                                    snap,
-                                    tick,
-                                    self.shard_cap(),
-                                );
-                                if evicted > 0 {
-                                    self.shared
-                                        .cache_evictions
-                                        .fetch_add(evicted, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        return verdict;
-                    }
-                }
-
-                let snapshot = self
-                    .shared
-                    .file_shard(*file)
-                    .lock()
-                    .snapshots
-                    .get(file)
-                    .cloned();
-                // Zero-recompute gate, fingerprint flavor: consulted only
-                // when a stamp is unknown (tier 1 already resolved the
-                // both-stamps-known case, and two known, different stamps
-                // prove the content changed).
-                let unchanged = shortcut_ok
-                    && snapshot.as_ref().is_some_and(|s| {
-                        (stamp == 0 || s.stamp == 0)
-                            && s.fingerprint == content_fingerprint(current)
-                    });
-
-                if unchanged || !cfg.incremental_analysis {
-                    // The reference path: one sniff of the final content,
-                    // shared by the funneling indicator, the type-change
-                    // indicator, and the refresh.
-                    let post_type = sniff(current);
-                    let mut reusable_digest = None;
-                    let verdict = {
-                        let mut fam = self.shared.family_shard(key).lock();
-                        let st = FamilyShard::process_mut(
-                            &mut fam.processes,
-                            cfg,
-                            key,
-                            &rec.process_name,
-                        );
-                        // The funneling indicator sees the type this
-                        // process wrote.
-                        if !current.is_empty() {
-                            let levels = st.funnel_mut().record_written(post_type);
-                            debug_assert_eq!(levels, 0, "writing types can only narrow the funnel");
-                        }
-                        if !unchanged {
-                            if let Some(snap) = &snapshot {
-                                reusable_digest = self
-                                    .evaluate_content(st, snap, current, post_type, path, at)
-                                    .into_reusable();
-                            }
-                        }
-                        self.verdict_for(st, at)
-                    };
-                    // The file's "previous version" is now what was just
-                    // written; refresh both snapshot indices. Unchanged
-                    // content reuses the existing snapshot outright;
-                    // changed content reuses the sniff and the similarity
-                    // pass's post-image digest instead of recomputing them.
-                    let cached = if unchanged {
-                        match snapshot {
-                            Some(snap) => CloseCache::Unchanged(snap),
-                            None => CloseCache::Torn,
-                        }
-                    } else {
-                        CloseCache::Changed
-                    };
-                    let mut fresh = self.resolve_close_snapshot(
-                        cached,
-                        current,
-                        post_type,
-                        reusable_digest,
-                        at,
-                        key,
+    /// A read: its payload's entropy feeds the family's read side and the
+    /// file's read baseline, and a file's first read samples funneling.
+    fn on_read(
+        &self,
+        rec: &OpRecord<'_>,
+        path: &VPath,
+        file: FileId,
+        offset: u64,
+        data: &[u8],
+        stamp: u64,
+    ) -> Verdict {
+        let cfg = &self.cfg;
+        // Resolve the payload's entropy once: folded into this
+        // family's tracker below, and recorded as the file's read
+        // baseline for the collusion defense. `entropy_lut_of` is
+        // the exact fold `observe_read` delegates to, so routing
+        // both paths through `observe_read_known` is bit-identical
+        // to the split the pre-baseline engine used.
+        let entropy = self
+            .reused_entropy(file, stamp, data)
+            .unwrap_or_else(|| cryptodrop_entropy::entropy_lut_of(data));
+        if cfg.score.points_entropy_delta > 0 && !data.is_empty() {
+            let cache = &self.shared.cache;
+            cache.fold_read(file, rec.key, rec.issuer, entropy, data.len());
+        }
+        self.with_family(rec.key, &rec.process_name, |st| {
+            st.entropy_mut().observe_read_known(entropy, data.len() as u64);
+            // Sample the file's type from its leading bytes exactly once
+            // per file for the funneling indicator.
+            if offset == 0 && !data.is_empty() && st.first_read(file) {
+                let timer = self.shared.telemetry.start_timer();
+                let levels = st.funnel_mut().record_read(sniff(data));
+                self.eval_timer(Indicator::Funneling).record_elapsed(timer);
+                if levels > 0 {
+                    let gap = st.funnel().gap();
+                    self.award(
+                        st,
+                        path,
+                        IndicatorHit {
+                            indicator: Indicator::Funneling,
+                            points: levels.saturating_mul(cfg.score.points_funneling),
+                            value: f64::from(gap),
+                            threshold: f64::from(cfg.score.funnel_gap),
+                            detail: format!("type funnel widened reading {path}"),
+                            at_nanos: rec.at_nanos,
+                        },
                     );
-                    if cfg.incremental_analysis && stamp != 0 {
-                        // Adopt the stamp so the next close takes tier 1.
-                        fresh.stamp = stamp;
-                    }
-                    self.finish_close(path, *file, fresh);
-                    return verdict;
                 }
+            }
+            self.verdict_for(st, rec.at_nanos)
+        })
+    }
 
-                // Tier 2/3 — changed close under incremental analysis:
-                // delta-update the retained intermediates from the dirty
-                // extents when the stamp chain holds, recompute from
-                // scratch otherwise. Either way the products are
-                // bit-identical to a full recompute, the similarity
-                // indicator is evaluated against the precomputed digest,
-                // and the refreshed snapshot retains its intermediates for
-                // the *next* close.
-                let (histogram, digest, features, fingerprint, delta) =
-                    self.close_products(snapshot.as_ref(), current, stamp, dirty.as_deref());
+    /// [`Self::known_entropy`] for a read or write payload, counted in
+    /// `engine.entropy.stamp_reuse` when the snapshot's entropy is reused.
+    fn reused_entropy(&self, file: FileId, stamp: u64, data: &[u8]) -> Option<f64> {
+        let known = self.known_entropy(file, stamp, data.len());
+        if let Some(entropy) = known {
+            debug_assert_eq!(
+                entropy,
+                cryptodrop_entropy::entropy_lut_of(data),
+                "snapshot entropy drifted from the payload's"
+            );
+            if self.shared.telemetry.is_enabled() {
+                self.shared.metrics.stamp_reuse.inc();
+            }
+        }
+        known
+    }
+
+    /// A write: a pre-existing file is lost, a first modification draws
+    /// the rate budget and the burst window, and the payload's entropy
+    /// scores against the family's read side.
+    fn on_write(
+        &self,
+        rec: &OpRecord<'_>,
+        path: &VPath,
+        file: FileId,
+        data: &[u8],
+        stamp: u64,
+    ) -> Verdict {
+        let cfg = &self.cfg;
+        let (key, at) = (rec.key, rec.at_nanos);
+        let known = if cfg.score.points_entropy_delta > 0 {
+            self.reused_entropy(file, stamp, data)
+        } else {
+            None
+        };
+        // One file-shard probe fetches the creation state and
+        // retires the read baseline: this write replaces the
+        // content the baseline described.
+        let (created, baseline) = self.shared.cache.retire_read(file);
+        self.with_family(key, &rec.process_name, |st| {
+            if !created {
+                st.record_loss(file);
+            }
+            // First modifications of distinct files are the unit of
+            // account for both time-axis defenses: the write-burst
+            // indicator (future work, §V-F) and the family rate
+            // budget. A zeroed `points_burst` disables the burst
+            // indicator entirely — no window bookkeeping, no 0-point
+            // hits — matching the other indicators' zeroed-points
+            // semantics.
+            let burst_on = cfg.score.points_burst > 0;
+            if (burst_on || cfg.rate_budget.is_some()) && st.first_modification(file) {
+                self.draw_rate_token(st, at);
+                if burst_on {
+                    let timer = self.shared.telemetry.start_timer();
+                    let burst =
+                        st.record_burst(at, cfg.score.burst_window_nanos, cfg.score.burst_threshold);
+                    self.eval_timer(Indicator::WriteBurst).record_elapsed(timer);
+                    if burst {
+                        let in_window = st.burst_window_len();
+                        self.award(
+                            st,
+                            path,
+                            IndicatorHit {
+                                indicator: Indicator::WriteBurst,
+                                points: cfg.score.points_burst,
+                                value: in_window as f64,
+                                threshold: f64::from(cfg.score.burst_threshold),
+                                detail: format!("modification burst at {path}"),
+                                at_nanos: at,
+                            },
+                        );
+                    }
+                }
+            }
+            // (A zeroed point value disables the indicator entirely —
+            // the isolation study relies on this.)
+            if cfg.score.points_entropy_delta > 0 {
+                // Collusion defense: a file whose read baseline was
+                // built by a *different* family hands that baseline to
+                // the writer before the write is folded in — the
+                // reader/writer split no longer severs the read side
+                // of the entropy delta (each file inherits at most
+                // once per writing family).
+                if let Some(b) = baseline {
+                    if b.reader_key != key && b.len > 0 && st.inherit_read_baseline(file) {
+                        st.entropy_mut().observe_read_known(b.entropy(), b.len);
+                        if self.shared.telemetry.is_enabled() {
+                            self.shared.metrics.baselines_inherited.inc();
+                            self.shared.telemetry.journal_event(at, key.0, || {
+                                JournalKind::BaselineInherited {
+                                    path: path.as_str().to_string(),
+                                    reader_pid: b.reader_pid.0,
+                                }
+                            });
+                        }
+                    }
+                }
+                let timer = self.shared.telemetry.start_timer();
+                let fired = match known {
+                    Some(entropy) => st.entropy_mut().observe_write_known(entropy, data.len() as u64),
+                    None => st.entropy_mut().observe_write(data),
+                };
+                self.eval_timer(Indicator::EntropyDelta).record_elapsed(timer);
+                if fired {
+                    let delta = st.entropy().delta().unwrap_or_default();
+                    self.award(st, path, evidence::entropy_hit(cfg, delta, data.len(), path, at));
+                }
+            }
+            self.verdict_for(st, at)
+        })
+    }
+
+    /// A truncate: a pre-existing file is lost, and its read baseline
+    /// with it.
+    fn on_truncate(&self, rec: &OpRecord<'_>, file: FileId) -> Verdict {
+        let (created, _) = self.shared.cache.retire_read(file);
+        self.with_family(rec.key, &rec.process_name, |st| {
+            if !created {
+                st.record_loss(file);
+            }
+            self.verdict_for(st, rec.at_nanos)
+        })
+    }
+
+    /// A modified handle's close: the content indicators compare the
+    /// final content against the pre-image along the cheapest sound tier
+    /// (`DESIGN.md` §12), and both snapshot indices take the new version.
+    fn on_close(
+        &self,
+        rec: &OpRecord<'_>,
+        path: &VPath,
+        file: FileId,
+        current: &[u8],
+        stamp: u64,
+        dirty: Option<&DirtyReport>,
+    ) -> Verdict {
+        let cfg = &self.cfg;
+        let cache = &self.shared.cache;
+        let shortcut = evidence::unchanged_shortcut(cfg);
+        // Tier 1 — stamp-unchanged, O(1): the close-time content
+        // stamp equals the resident snapshot's, so the content is
+        // byte-identical to the pre-image. No content indicator
+        // can fire (same type; self-similarity is 100), the
+        // funneling indicator reuses the snapshot's sniffed type,
+        // and both snapshot indices are already current — only the
+        // path entry's LRU tick needs touching. No sniff, no
+        // fingerprint pass, no snapshot clone, no allocation.
+        if shortcut && stamp != 0 {
+            let resident_type = cache.resident(file, |s| (s.stamp == stamp).then_some(s.file_type));
+            if let Some(file_type) = resident_type.flatten() {
+                cache.hit();
+                if self.shared.telemetry.is_enabled() {
+                    self.shared.metrics.incr_stamp_skips.inc();
+                }
+                let verdict = self.score_close(rec, path, file_type, current, [None, None]);
+                cache.touch(path, file, stamp);
+                return verdict;
+            }
+        }
+        let snapshot = cache.resident(file, FileSnapshot::clone);
+        // Zero-recompute gate, fingerprint flavor: consulted only
+        // when a stamp is unknown (tier 1 already resolved the
+        // both-stamps-known case, and two known, different stamps
+        // prove the content changed).
+        let unchanged = shortcut
+            && snapshot.as_ref().is_some_and(|s| {
+                (stamp == 0 || s.stamp == 0) && s.fingerprint == content_fingerprint(current)
+            });
+        // One sniff of the final content, shared by the funneling
+        // indicator, the type-change indicator, and the refresh.
+        let post_type = sniff(current);
+        let (verdict, fresh) = match snapshot {
+            // Unchanged content reuses the existing snapshot outright.
+            Some(mut fresh) if unchanged => {
+                let verdict = self.score_close(rec, path, post_type, current, [None, None]);
+                cache.hit();
+                if cfg.incremental_analysis && stamp != 0 {
+                    // Adopt the stamp so the next close takes tier 1.
+                    fresh.stamp = stamp;
+                }
+                (verdict, fresh)
+            }
+            // The reference path: changed content reuses the sniff and
+            // the similarity pass's post-image digest instead of
+            // recomputing them.
+            pre if !cfg.incremental_analysis => {
+                let (hits, post_digest) = pre.as_ref().map_or(([None, None], None), |pre| {
+                    self.compare_full(pre, current, post_type, path, rec.at_nanos)
+                });
+                let verdict = self.score_close(rec, path, post_type, current, hits);
+                cache.miss();
+                let max = cfg.max_digest_bytes;
+                (verdict, FileSnapshot::capture_reusing(current, max, Some(post_type), post_digest))
+            }
+            // Tier 2/3 — changed close under incremental analysis:
+            // delta-update the retained intermediates from the dirty
+            // extents when the stamp chain holds, recompute from
+            // scratch otherwise. Either way the products are
+            // bit-identical to a full recompute, the similarity
+            // indicator is evaluated against the precomputed digest,
+            // and the refreshed snapshot retains its intermediates for
+            // the *next* close.
+            pre => {
+                let (fresh, delta) =
+                    evidence::close_snapshot(cfg, pre.as_ref(), current, stamp, dirty, post_type);
                 if self.shared.telemetry.is_enabled() {
                     if delta {
                         self.shared.metrics.incr_delta.inc();
@@ -2165,182 +1165,110 @@ impl CryptoDrop {
                         self.shared.metrics.incr_full.inc();
                     }
                 }
-                let post_type = sniff(current);
-                let entropy = histogram.entropy_lut();
-                let verdict = {
-                    let mut fam = self.shared.family_shard(key).lock();
-                    let st =
-                        FamilyShard::process_mut(&mut fam.processes, cfg, key, &rec.process_name);
-                    if !current.is_empty() {
-                        let levels = st.funnel_mut().record_written(post_type);
-                        debug_assert_eq!(levels, 0, "writing types can only narrow the funnel");
-                    }
-                    if let Some(snap) = &snapshot {
-                        let timer = self.shared.telemetry.start_timer();
-                        let sim_outcome = similarity::evaluate_precomputed(
-                            snap.digest.as_ref(),
-                            snap.entropy,
-                            digest.as_ref(),
-                            cfg.score.similarity_match_max,
-                            cfg.score.similarity_max_source_entropy,
-                        );
-                        self.eval_timer(Indicator::Similarity).record_elapsed(timer);
-                        self.content_hits(st, snap, sim_outcome, post_type, path, at);
-                    }
-                    self.verdict_for(st, at)
-                };
-                self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let fresh = FileSnapshot {
-                    file_type: post_type,
-                    digest,
-                    entropy,
-                    len: current.len() as u64,
-                    fingerprint,
-                    stamp,
-                    incr: Some(Arc::new(IncrState {
-                        histogram,
-                        features,
-                    })),
-                };
                 debug_assert_eq!(
                     fresh,
                     FileSnapshot::capture(current, cfg.max_digest_bytes),
                     "incremental close analysis drifted from the full recompute"
                 );
-                self.finish_close(path, *file, fresh);
-                verdict
-            }
-
-            RecordBody::Delete { path, file } => {
-                let path = path.as_ref();
-                let created = {
-                    let mut fsh = self.shared.file_shard(*file).lock();
-                    fsh.snapshots.remove(file);
-                    // The path-keyed snapshot is retained deliberately: a
-                    // Class C sample may later drop its encrypted copy at
-                    // this path.
-                    fsh.created.contains(file)
-                };
-                // Pin the retained snapshot: the Class C link must survive
-                // unrelated cache pressure, so post-delete snapshots leave
-                // the LRU population and move to the pinned budget.
-                let evicted = self
-                    .shared
-                    .path_shard(path)
-                    .lock()
-                    .pin(path, self.pinned_shard_cap());
-                if evicted > 0 {
-                    self.shared
-                        .cache_evictions
-                        .fetch_add(evicted, Ordering::Relaxed);
-                }
-                let mut fam = self.shared.family_shard(key).lock();
-                let st =
-                    FamilyShard::process_mut(&mut fam.processes, cfg, key, &rec.process_name);
-                // Deleting one's own temporary files is routine (§III-D);
-                // only deletions of pre-existing user files count.
-                if !created {
-                    st.record_loss(*file);
+                let hits = pre.as_ref().map_or([None, None], |pre| {
                     let timer = self.shared.telemetry.start_timer();
-                    let scored = st.deletions_mut().observe_delete();
-                    self.eval_timer(Indicator::Deletion).record_elapsed(timer);
-                    if scored {
-                        let count = st.deletions().deletions();
-                        self.award(
-                            st,
-                            path,
-                            IndicatorHit {
-                                indicator: Indicator::Deletion,
-                                points: cfg.score.points_deletion,
-                                value: f64::from(count),
-                                threshold: f64::from(cfg.score.deletion_allowance),
-                                detail: format!("bulk deletion: {path}"),
-                                at_nanos: at,
-                            },
-                        );
-                    }
-                }
-                self.verdict_for(st, at)
+                    let sim = evidence::similarity_precomputed(cfg, pre, fresh.digest.as_ref());
+                    self.eval_timer(Indicator::Similarity).record_elapsed(timer);
+                    self.content_hits(pre, sim, post_type, path, rec.at_nanos)
+                });
+                let verdict = self.score_close(rec, path, post_type, current, hits);
+                cache.miss();
+                (verdict, fresh)
             }
+        };
+        // The file's "previous version" is now what was just written.
+        cache.store(path, file, fresh);
+        verdict
+    }
 
-            RecordBody::Rename {
-                from,
-                to,
-                file,
-                replaced,
-                to_protected,
-                dest_current,
-            } => {
-                let from = from.as_ref();
-                let to = to.as_ref();
-                let mut verdict = Verdict::Allow;
-                if *to_protected {
-                    if let Some(replaced_id) = replaced {
-                        // The Class C link: an "independent" encrypted copy
-                        // moved over the original is compared against the
-                        // original's retained snapshot (paper §V-B2). As in
-                        // the pre-shard engine, the replacement is scored
-                        // against the issuing pid.
-                        let tick = self.shared.next_tick();
-                        let dest_snap = self
-                            .shared
-                            .path_shard(to)
-                            .lock()
-                            .get_snapshot(to, tick);
-                        let created = self
-                            .shared
-                            .file_shard(*replaced_id)
-                            .lock()
-                            .created
-                            .contains(replaced_id);
-                        let mut fam = self.shared.family_shard(rec.issuer).lock();
-                        let st = FamilyShard::process_mut(
-                            &mut fam.processes,
-                            cfg,
-                            rec.issuer,
-                            &rec.process_name,
-                        );
-                        if !created {
-                            st.record_loss(*replaced_id);
-                        }
-                        if let (Some(snap), Some(current)) = (dest_snap, dest_current.as_ref()) {
-                            self.evaluate_content(st, &snap, current, sniff(current), to, at);
-                        }
-                        verdict = self.verdict_for(st, at);
-                    }
-                }
+    /// The close tail every tier shares: the funneling indicator sees the
+    /// type this process wrote, the content hits (computed before the
+    /// lock) are awarded, and the threshold is checked.
+    fn score_close(
+        &self,
+        rec: &OpRecord<'_>,
+        path: &VPath,
+        written: FileType,
+        current: &[u8],
+        hits: [Option<IndicatorHit>; 2],
+    ) -> Verdict {
+        self.with_family(rec.key, &rec.process_name, |st| {
+            if !current.is_empty() {
+                let levels = st.funnel_mut().record_written(written);
+                debug_assert_eq!(levels, 0, "writing types can only narrow the funnel");
+            }
+            for hit in hits.into_iter().flatten() {
+                self.award(st, path, hit);
+            }
+            self.verdict_for(st, rec.at_nanos)
+        })
+    }
 
-                // The moved file's own snapshot follows it to the new path.
-                // Whatever path-keyed history `from` held is consumed
-                // either way: the file is gone from that path, and a stale
-                // entry left behind would be served as the pre-image of an
-                // unrelated file that later lands at `from`.
-                let moved_snap = self
-                    .shared
-                    .file_shard(*file)
-                    .lock()
-                    .snapshots
-                    .get(file)
-                    .cloned();
-                let from_snap = self.shared.path_shard(from).lock().remove_snapshot(from);
-                let follow = moved_snap.or(from_snap);
-                if let Some(snap) = follow {
-                    let tick = self.shared.next_tick();
-                    let evicted = self.shared.path_shard(to).lock().insert_snapshot(
-                        to.clone(),
-                        snap,
-                        tick,
-                        self.shard_cap(),
+    /// A protected file's delete: a pre-existing file is lost and counts
+    /// toward the deletion indicator.
+    fn on_delete(&self, rec: &OpRecord<'_>, path: &VPath, file: FileId) -> Verdict {
+        let cfg = &self.cfg;
+        let created = self.shared.cache.delete(path, file);
+        self.with_family(rec.key, &rec.process_name, |st| {
+            // Deleting one's own temporary files is routine (§III-D);
+            // only deletions of pre-existing user files count.
+            if !created {
+                st.record_loss(file);
+                let timer = self.shared.telemetry.start_timer();
+                let scored = st.deletions_mut().observe_delete();
+                self.eval_timer(Indicator::Deletion).record_elapsed(timer);
+                if scored {
+                    let count = st.deletions().deletions();
+                    self.award(
+                        st,
+                        path,
+                        IndicatorHit {
+                            indicator: Indicator::Deletion,
+                            points: cfg.score.points_deletion,
+                            value: f64::from(count),
+                            threshold: f64::from(cfg.score.deletion_allowance),
+                            detail: format!("bulk deletion: {path}"),
+                            at_nanos: rec.at_nanos,
+                        },
                     );
-                    if evicted > 0 {
-                        self.shared
-                            .cache_evictions
-                            .fetch_add(evicted, Ordering::Relaxed);
-                    }
                 }
-                verdict
             }
-        }
+            self.verdict_for(st, rec.at_nanos)
+        })
+    }
+
+    /// The Class C link: an "independent" encrypted copy moved over a
+    /// protected original is compared against the original's retained
+    /// snapshot (paper §V-B2). As in the pre-shard engine, the
+    /// replacement is scored against the issuing pid.
+    fn on_replace(
+        &self,
+        rec: &OpRecord<'_>,
+        to: &VPath,
+        replaced: FileId,
+        current: Option<&[u8]>,
+    ) -> Verdict {
+        let (pre, created) = self.shared.cache.replaced(to, replaced);
+        let hits = match (pre, current) {
+            (Some(pre), Some(current)) => {
+                self.compare_full(&pre, current, sniff(current), to, rec.at_nanos).0
+            }
+            _ => [None, None],
+        };
+        self.with_family(rec.issuer, &rec.process_name, |st| {
+            if !created {
+                st.record_loss(replaced);
+            }
+            for hit in hits.into_iter().flatten() {
+                self.award(st, to, hit);
+            }
+            self.verdict_for(st, rec.at_nanos)
+        })
     }
 
     /// Routes a built record to the pipeline (when attached and running)
@@ -2363,17 +1291,15 @@ impl FilterDriver for CryptoDrop {
         // Block members of an already-flagged (and not user-permitted)
         // process family at the front edge of their next operation.
         let key = self.scoring_key(ctx);
-        if let Some(p) = self.shared.family_shard(key).lock().processes.get(&key) {
-            if p.is_detected() && !p.is_permitted() {
-                return Verdict::suspend(FAMILY_FLAGGED);
-            }
+        if let Some(v @ Verdict::Suspend { .. }) = self.family_gate(key) {
+            return v;
         }
         // Decoy tripwire: any destructive touch of a registered bait file
         // is an instant maximum-confidence detection, bypassing the
         // scoreboard (no refresh needed — the decoy's content is noise).
         if !self.shared.decoys.is_empty() {
             if let Some(decoy) = self.decoy_hit(&ctx.op) {
-                return self.decoy_verdict(ctx, key, decoy);
+                return self.decoy_verdict(ctx, decoy);
             }
         }
         let refresh = match ctx.op {
@@ -3172,36 +2098,6 @@ mod tests {
         assert_eq!(monitor.detections().len(), 0);
     }
 
-    #[test]
-    fn evict_oldest_removes_strictly_least_recently_touched() {
-        let mut shard = PathShard::default();
-        let snap = FileSnapshot::capture(b"payload", 1 << 16);
-        let path = |i: u32| VPath::new(format!("/d/f{i}"));
-        for (i, tick) in [(0u32, 5u64), (1, 2), (2, 9)] {
-            shard.insert_snapshot(path(i), snap.clone(), tick, usize::MAX);
-        }
-        // Touching f1 (tick 2 → 10) promotes it past f0, so the LRU
-        // victim order becomes f0 (5), then f2 (9), then f1 (10).
-        shard.get_snapshot(&path(1), 10);
-        assert!(shard.evict_oldest(false));
-        assert!(!shard.snapshots.contains_key(&path(0)), "f0 is oldest");
-        assert!(shard.evict_oldest(false));
-        assert!(!shard.snapshots.contains_key(&path(2)), "then f2");
-        assert!(shard.snapshots.contains_key(&path(1)), "touched f1 survives");
-        // Pinned entries are invisible to unpinned eviction and vice versa.
-        shard.insert_snapshot(path(3), snap.clone(), 1, usize::MAX);
-        shard.pin(&path(3), usize::MAX);
-        assert!(
-            shard.evict_oldest(false),
-            "f1 is the only unpinned entry left"
-        );
-        assert!(!shard.snapshots.contains_key(&path(1)));
-        assert!(!shard.evict_oldest(false), "no unpinned victims remain");
-        assert!(shard.snapshots.contains_key(&path(3)), "pinned f3 untouched");
-        assert!(shard.evict_oldest(true), "pinned eviction finds f3");
-        assert!(shard.snapshots.is_empty());
-    }
-
     /// Reproduces the bench `eviction_pressure` probe's evictions ≈ misses
     /// shape and proves it is the inherent LRU sweep pathology — a cyclic
     /// working set larger than capacity revisits each path only after it
@@ -3284,44 +2180,83 @@ mod tests {
     }
 
     #[test]
-    fn close_snapshot_resolver_survives_missing_snapshot() {
-        // The unchanged-close fast path once did
-        // `snapshot.expect("unchanged implies a snapshot")`: torn cache
-        // state (snapshot evicted between the gate and the resolve) would
-        // panic inside the filter. The resolver must degrade to a
-        // recompute and count the anomaly instead.
-        let (engine, monitor) = new_engine(Config::protecting(DOCS));
-        let current = text_content(1, 4096);
-        let post_type = sniff(&current);
-        let resolved = engine.resolve_close_snapshot(
-            CloseCache::Torn, // unchanged gate matched, snapshot gone
-            &current,
-            post_type,
-            None,
-            42,
-            ProcessId(9),
-        );
-        assert_eq!(
-            resolved,
-            FileSnapshot::capture(&current, engine.cfg.max_digest_bytes),
-            "anomaly path must recompute a faithful snapshot"
-        );
-        let stats = monitor.cache_stats();
-        assert_eq!(stats.anomalies, 1, "{stats:?}");
-        assert_eq!(stats.hits, 0, "{stats:?}");
-        assert_eq!(stats.misses, 1, "{stats:?}");
-        // The healthy paths stay anomaly-free.
-        let healthy = engine.resolve_close_snapshot(
-            CloseCache::Unchanged(resolved.clone()),
-            &current,
-            post_type,
-            None,
-            43,
-            ProcessId(9),
-        );
-        assert_eq!(healthy, resolved);
-        assert_eq!(monitor.cache_stats().anomalies, 1);
-        assert_eq!(monitor.cache_stats().hits, 1);
+    fn record_is_light_predicts_the_close_tier() {
+        /// Notes `record_is_light` for each close record the engine's
+        /// filter builds. Registered ahead of the engine, it sees each close
+        /// before the engine processes it.
+        struct Probe(CryptoDrop, Arc<Mutex<Vec<bool>>>);
+        impl FilterDriver for Probe {
+            fn name(&self) -> &str {
+                "probe"
+            }
+            fn post_op(&mut self, ctx: &OpContext<'_>, out: &OpOutcome<'_>, fs: &FsView<'_>) -> Verdict {
+                let rec = self.0.build_post_record(self.0.scoring_key(ctx), ctx, out, fs);
+                if let Some(rec @ OpRecord { body: RecordBody::Close { .. }, .. }) = rec {
+                    self.1.lock().push(self.0.record_is_light(&rec));
+                }
+                Verdict::Allow
+            }
+        }
+        let mut fs = Vfs::new();
+        let docs = VPath::new(DOCS);
+        for i in 0..3 {
+            fs.admin().write_file(&docs.join(format!("f{i}.txt")), &text_content(i, 4096)).unwrap();
+        }
+        let telemetry = Telemetry::new(1 << 10);
+        let cfg = Config::protecting(DOCS);
+        let (engine, _monitor) = CryptoDrop::with_telemetry_inner(cfg, telemetry.clone());
+        let light = Arc::new(Mutex::new(Vec::new()));
+        fs.register_filter(Box::new(Probe(engine.clone(), Arc::clone(&light))));
+        fs.register_filter(Box::new(engine));
+        let pid = fs.spawn_process("editor.exe");
+        let tiers = || {
+            let counters = telemetry.metrics().snapshot().counters;
+            ["stamp_skips", "delta_applied", "full_recompute"]
+                .map(|t| counters.get(&format!("engine.incremental.{t}")).copied().unwrap_or(0))
+        };
+        // Tier 1: a same-bytes save.
+        let h = fs.open(pid, &docs.join("f0.txt"), OpenOptions::modify()).unwrap();
+        fs.write(pid, h, &text_content(0, 4096)).unwrap();
+        fs.close(pid, h).unwrap();
+        assert_eq!(tiers(), [1, 0, 0]);
+        // Tier 2: an in-place edit of a resident file.
+        let h = fs.open(pid, &docs.join("f1.txt"), OpenOptions::modify()).unwrap();
+        fs.seek(pid, h, 100).unwrap();
+        fs.write(pid, h, b"edited").unwrap();
+        fs.close(pid, h).unwrap();
+        assert_eq!(tiers(), [1, 1, 0]);
+        // Tier 3: a truncating rewrite breaks the stamp chain — its dirty
+        // report starts from the emptied file, not the snapshot's content.
+        fs.write_file(pid, &docs.join("f2.txt"), &text_content(9, 4096)).unwrap();
+        assert_eq!(tiers(), [1, 1, 1]);
+        assert_eq!(*light.lock(), [true, true, false]);
+    }
+
+    #[test]
+    fn score_arithmetic_saturates_instead_of_overflowing() {
+        // Point values near u32::MAX once panicked the filter in debug
+        // builds and, wrapping in release, let the attacker through.
+        let mut huge = Config::protecting(DOCS);
+        (huge.score.points_type_change, huge.score.points_similarity) = (1 << 31, 1 << 31);
+        let mut bonus = Config::protecting(DOCS);
+        bonus.score.union_bonus = u32::MAX;
+        let mut doubled = Config::protecting(DOCS);
+        (doubled.dynamic_scoring, doubled.score.points_type_change) = (true, 1 << 31);
+        // Sub-512 B files have no digest, so dynamic scoring doubles.
+        for (cfg, len) in [(huge, 4096), (bonus, 4096), (doubled, 400)] {
+            let mut fs = Vfs::new();
+            for i in 0..30 {
+                let path = VPath::new(DOCS).join(format!("dir{}/file{i}.txt", i % 3));
+                fs.admin().write_file(&path, &text_content(i, len)).unwrap();
+            }
+            let (engine, monitor) = new_engine(cfg);
+            fs.register_filter(Box::new(engine));
+            let pid = fs.spawn_process("overflow.exe");
+            assert_eq!(run_class_a(&mut fs, pid), 1, "suspended on the first close");
+            assert_eq!(monitor.score(pid), u32::MAX);
+            let trail = monitor.audit_trail(pid).expect("seen process");
+            assert_eq!(trail.entries.last().map(|e| e.score_after), Some(u32::MAX));
+        }
     }
 
     #[test]

@@ -123,8 +123,7 @@ pub(crate) enum RecordBody<'a> {
         file: FileId,
     },
     /// A file was renamed with at least one side in scope. Tracked-set
-    /// bookkeeping already happened on the fast path; `was_tracked` and
-    /// the captured destination content carry its outcome.
+    /// bookkeeping already happened on the fast path.
     Rename {
         /// Source path.
         from: Cow<'a, VPath>,
@@ -132,13 +131,9 @@ pub(crate) enum RecordBody<'a> {
         to: Cow<'a, VPath>,
         /// The moved file's id.
         file: FileId,
-        /// The id of a replaced destination file, if any.
-        replaced: Option<FileId>,
-        /// Whether the destination lies in a protected directory.
-        to_protected: bool,
-        /// The destination's content after the move, captured when a
-        /// protected destination was replaced (the Class C link input).
-        dest_current: Option<Vec<u8>>,
+        /// A replaced protected destination — the Class C link input: its
+        /// file id, and its content after the move when readable.
+        replaced: Option<(FileId, Option<Vec<u8>>)>,
     },
 }
 
@@ -215,15 +210,11 @@ impl OpRecord<'_> {
                     to,
                     file,
                     replaced,
-                    to_protected,
-                    dest_current,
                 } => RecordBody::Rename {
                     from: own_path(from),
                     to: own_path(to),
                     file,
                     replaced,
-                    to_protected,
-                    dest_current,
                 },
             },
         }

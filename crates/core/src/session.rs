@@ -440,7 +440,7 @@ impl Session {
     /// carry the pipeline attachment — register one per `Vfs` (one per
     /// thread) to fan a single detector out across filesystems.
     pub fn fork(&self) -> CryptoDrop {
-        self.engine.fork_inner()
+        self.engine.clone()
     }
 
     /// A clonable read handle onto the engine state, for threads that only

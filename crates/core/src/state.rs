@@ -259,7 +259,7 @@ impl ProcessState {
     /// applies the one-time union bonus when all three primaries have been
     /// seen (paper §III-E, §V-B2).
     pub fn award(&mut self, cfg: &ScoreConfig, union_enabled: bool, hit: IndicatorHit) {
-        self.score += hit.points;
+        self.score = self.score.saturating_add(hit.points);
         if hit.indicator.is_primary() {
             self.primaries.insert(hit.indicator);
         }
@@ -271,7 +271,7 @@ impl ProcessState {
         {
             self.union_triggered = true;
             self.union_at_nanos = Some(at_nanos);
-            self.score += cfg.union_bonus;
+            self.score = self.score.saturating_add(cfg.union_bonus);
         }
     }
 
@@ -524,7 +524,8 @@ impl ProcessState {
         let mut hit_points = BTreeMap::new();
         for h in &self.hits {
             *hit_counts.entry(h.indicator).or_insert(0u32) += 1;
-            *hit_points.entry(h.indicator).or_insert(0u32) += h.points;
+            let points = hit_points.entry(h.indicator).or_insert(0u32);
+            *points = points.saturating_add(h.points);
         }
         ProcessSummary {
             pid: self.pid,

@@ -70,11 +70,6 @@ pub enum JournalKind {
         /// The suspension reason.
         reason: String,
     },
-    /// The engine recovered from an inconsistent cache state.
-    CacheAnomaly {
-        /// What was inconsistent.
-        context: String,
-    },
     /// An analysis-pipeline shard queue was full and the producer degraded
     /// to inline processing (`Backpressure::DegradeToInline`).
     Backpressure {

@@ -313,8 +313,8 @@ impl Vfs {
     /// Attaches a telemetry sink: when enabled, every operation's journey
     /// (op → per-filter pre/post verdicts → suspension) is journaled.
     /// Share the same handle with the registered filter drivers (e.g. the
-    /// CryptoDrop engine) to interleave their events — indicator
-    /// contributions, cache anomalies — into one ordered timeline.
+    /// CryptoDrop engine) to interleave their events — such as indicator
+    /// contributions — into one ordered timeline.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }

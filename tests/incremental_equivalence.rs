@@ -8,11 +8,12 @@
 //! the per-close `debug_assert` equivalence nets and the entropy/sdhash
 //! property tests.
 
-use cryptodrop::Config;
+use cryptodrop::{Config, CryptoDrop};
 use cryptodrop_corpus::{Corpus, CorpusSpec};
 use cryptodrop_experiments::runner::{run_sample, run_sample_with_telemetry, run_workload};
 use cryptodrop_malware::paper_sample_set;
 use cryptodrop_telemetry::Telemetry;
+use cryptodrop_vfs::{OpenOptions, Vfs};
 
 fn corpus() -> Corpus {
     Corpus::generate(&CorpusSpec::sized(500, 50))
@@ -91,6 +92,37 @@ fn incremental_counters_are_observable() {
         full > 0,
         "an encrypting replay must force full recomputes somewhere"
     );
+}
+
+/// Each modified close takes exactly one analysis tier, so the three
+/// close counters sum to the closes; entropy that reads and writes reuse
+/// from a snapshot counts apart, in `engine.entropy.stamp_reuse`.
+#[test]
+fn close_tier_counters_count_each_modified_close_once() {
+    let corpus = corpus();
+    let session = CryptoDrop::builder()
+        .config(config(&corpus, true))
+        .telemetry(Telemetry::new(1 << 16))
+        .build()
+        .expect("valid config");
+    let mut fs = Vfs::new();
+    corpus.stage_into(&mut fs).expect("staging succeeds");
+    fs.register_filter(Box::new(session.fork()));
+    let pid = fs.spawn_process("editor.exe");
+    let files: Vec<_> = corpus.files().iter().filter(|f| !f.read_only).take(20).collect();
+    for f in &files {
+        let h = fs.open(pid, &f.path, OpenOptions::modify()).expect("open");
+        let data = fs.read_to_end(pid, h).expect("read");
+        fs.seek(pid, h, 0).expect("seek");
+        fs.write(pid, h, &data).expect("write");
+        fs.close(pid, h).expect("close");
+    }
+    let snap = session.telemetry().metrics().snapshot();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let tiers = ["stamp_skips", "delta_applied", "full_recompute"]
+        .map(|t| counter(&format!("engine.incremental.{t}")));
+    assert_eq!(tiers.iter().sum::<u64>(), files.len() as u64, "tiers {tiers:?}");
+    assert!(counter("engine.entropy.stamp_reuse") > 0);
 }
 
 /// Same replay with incremental analysis off: the incremental counters
