@@ -19,7 +19,7 @@ use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
 
 /// One read-modify-write-close cycle over up to 20 corpus documents.
 /// Writes back the bytes it read — the steady-state editor-save workload
-/// the engine's fingerprint cache is built for. With `churn`, one byte is
+/// the engine's snapshot cache is built for. With `churn`, one byte is
 /// toggled per save so every close carries changed content and the
 /// zero-recompute path never engages (the pre-cache engine paid this full
 /// analysis cost on *every* save, changed or not).
@@ -33,7 +33,7 @@ fn modify_cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus, churn: bool, roun
         };
         let mut data = fs.read_to_end(pid, h).unwrap_or_default();
         if churn && !data.is_empty() {
-            // A one-byte mid-file edit: changes the fingerprint without
+            // A one-byte mid-file edit: changes the content stamp without
             // touching the magic bytes or similarity, so no indicator
             // fires but every close recomputes.
             let mid = data.len() / 2;

@@ -238,19 +238,6 @@ pub struct Config {
     /// pressure) and budgeted here instead, oldest-first. `0` means
     /// unbounded.
     pub pinned_snapshot_budget: usize,
-    /// Reuse resident snapshots when a file's 64-bit content fingerprint
-    /// is unchanged (skipping the sniff/digest/entropy recompute). On by
-    /// default; disabling forces a full recompute on every refresh —
-    /// byte-for-byte the reference behavior, used by tests to prove the
-    /// cache never changes a verdict.
-    pub fingerprint_cache: bool,
-    /// Analyse closes from dirty extents when the VFS tracked them:
-    /// delta-update the cached byte histogram, splice unchanged sdhash
-    /// feature runs, and skip analysis entirely for stamp-unchanged
-    /// content. On by default; disabling forces the whole-file recompute
-    /// path on every close — the reference behavior, used by tests to
-    /// prove incremental analysis never changes a verdict.
-    pub incremental_analysis: bool,
     /// Registered decoy (bait) files. No legitimate workflow touches a
     /// decoy, so *any* destructive operation on one — a write-open,
     /// write, truncate, delete, rename endpoint, or attribute change —
@@ -316,8 +303,6 @@ impl Config {
             max_digest_bytes: 256 * 1024,
             snapshot_cache_capacity: 1 << 16,
             pinned_snapshot_budget: 1 << 12,
-            fingerprint_cache: true,
-            incremental_analysis: true,
             decoy_paths: Vec::new(),
             throttle: None,
             rate_budget: None,

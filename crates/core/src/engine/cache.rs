@@ -8,8 +8,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cryptodrop_simhash::content_fingerprint;
-use cryptodrop_vfs::{FileId, MemoSlot, ProcessId, VPath};
+use cryptodrop_vfs::{content_stamp, FileId, MemoSlot, ProcessId, VPath};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -17,19 +16,33 @@ use crate::config::Config;
 use crate::state::FileSnapshot;
 
 /// The refresh snapshot memoised on a staged buffer's [`MemoSlot`], with
-/// the config inputs it was captured under.
+/// the digest window it was captured under.
 struct StagedSnapshot {
     max_digest_bytes: usize,
-    incremental: bool,
     snap: FileSnapshot,
+}
+
+/// The snapshot oracle, in debug builds: `snap`, just made from `data`
+/// by a delta, a capture or a memo, equals the reference
+/// [`FileSnapshot::capture`] of `data` and carries `data`'s content
+/// stamp. A snapshot is reused only while its stamp matches, so every
+/// reuse then serves exactly what the reference would compute.
+pub(super) fn debug_assert_reference(snap: &FileSnapshot, data: &[u8], max_digest_bytes: usize) {
+    debug_assert_eq!(
+        *snap,
+        FileSnapshot::capture(data, max_digest_bytes),
+        "snapshot drifted from FileSnapshot::capture"
+    );
+    debug_assert_eq!(snap.stamp, content_stamp(data), "snapshot stamp does not match its bytes");
 }
 
 /// Snapshot-cache effectiveness counters, exposed via
 /// [`Monitor::cache_stats`](super::Monitor::cache_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Snapshot refreshes satisfied by an unchanged content fingerprint
-    /// (no sniff/digest/entropy recompute).
+    /// Snapshot refreshes and closes satisfied by an unchanged content
+    /// stamp, or by a staged-content memo (no sniff/digest/entropy
+    /// recompute).
     pub hits: u64,
     /// Snapshot refreshes that had to recompute (content changed, or no
     /// prior snapshot existed).
@@ -316,13 +329,12 @@ impl SnapshotCache {
     }
 
     /// Refreshes the path-keyed snapshot of `path` from `data` (its
-    /// content at capture time). A resident snapshot carrying the same
-    /// nonzero content stamp is reused in O(1); matching content
-    /// fingerprints (the O(n) pass, only consulted when a stamp is
-    /// unknown) also reuse it. On a miss, `memo` — the slot of the staged
-    /// content `data` still equals, if any — lends the snapshot another
-    /// namespace already captured (see [`Self::staged`]). The
-    /// expensive capture runs without any shard lock held.
+    /// content at capture time, stamped `stamp`). A resident snapshot
+    /// carrying the same nonzero stamp is reused in O(1). On a miss,
+    /// `memo` — the slot of the staged content `data` still equals, if
+    /// any — lends the snapshot another namespace already captured (see
+    /// [`Self::staged`]). The expensive capture runs without any shard
+    /// lock held.
     pub(super) fn refresh(
         &self,
         cfg: &Config,
@@ -332,33 +344,21 @@ impl SnapshotCache {
         memo: Option<&MemoSlot>,
     ) {
         let tick = self.next_tick();
-        if cfg.fingerprint_cache {
+        if stamp != 0 {
             let mut guard = self.path(path).lock();
-            if let Some(entry) = guard.snapshots.get_mut(path) {
-                // Two known, different stamps prove the content changed;
-                // only an unknown stamp needs the fingerprint pass.
-                let unchanged = if stamp != 0 && entry.snap.stamp != 0 {
-                    entry.snap.stamp == stamp
-                } else {
-                    entry.snap.fingerprint == content_fingerprint(data)
-                };
-                if unchanged {
-                    entry.tick = tick;
-                    if cfg.incremental_analysis && stamp != 0 {
-                        // Adopt the stamp so the next refresh is O(1).
-                        entry.snap.stamp = stamp;
-                    }
-                    drop(guard);
-                    self.hit();
-                    return;
-                }
+            if let Some(e) = guard.snapshots.get_mut(path).filter(|e| e.snap.stamp == stamp) {
+                debug_assert_eq!(stamp, content_stamp(data), "refresh hit on a stale stamp");
+                e.tick = tick;
+                drop(guard);
+                self.hit();
+                return;
             }
         }
-        // The no-cache reference mode computes everything itself.
-        let (snap, captured) = match memo.filter(|_| cfg.fingerprint_cache) {
+        let (snap, captured) = match memo {
             Some(slot) => Self::staged(cfg, slot, data, stamp),
             None => (Self::capture(cfg, data, stamp), true),
         };
+        debug_assert_reference(&snap, data, cfg.max_digest_bytes);
         if captured {
             self.miss();
         } else {
@@ -369,11 +369,7 @@ impl SnapshotCache {
 
     /// A fresh refresh snapshot of `data` under `cfg`.
     fn capture(cfg: &Config, data: &[u8], stamp: u64) -> FileSnapshot {
-        if cfg.incremental_analysis {
-            FileSnapshot::capture_incremental(data, cfg.max_digest_bytes, stamp, None)
-        } else {
-            FileSnapshot::capture(data, cfg.max_digest_bytes)
-        }
+        FileSnapshot::capture_incremental(data, cfg.max_digest_bytes, stamp, None)
     }
 
     /// The refresh snapshot of staged content, captured at most once for
@@ -381,30 +377,24 @@ impl SnapshotCache {
     ///
     /// `data` equals the bytes the slot was staged with (the VFS detaches
     /// the slot before any byte changes), `stamp` is their content stamp,
-    /// and a capture is a pure function of the bytes and the two config
-    /// inputs recorded beside it. So an entry whose recorded inputs match
-    /// is exactly the snapshot a local capture would produce; an engine
-    /// whose inputs differ captures locally and leaves the entry alone.
-    /// The snapshot's [`IncrState`](crate::state::IncrState) is shared,
-    /// not copied, and serves the delta tier of a later close as a local
-    /// one would.
+    /// and a capture is a pure function of the bytes and the digest
+    /// window recorded beside it. So an entry whose recorded window
+    /// matches is exactly the snapshot a local capture would produce; an
+    /// engine whose window differs captures locally and leaves the entry
+    /// alone. The snapshot's [`IncrState`](crate::state::IncrState) is
+    /// shared, not copied, and serves the delta tier of a later close as
+    /// a local one would.
     fn staged(cfg: &Config, slot: &MemoSlot, data: &[u8], stamp: u64) -> (FileSnapshot, bool) {
         let mut captured = false;
         let memo = slot.get_or_init(|| {
             captured = true;
             Arc::new(StagedSnapshot {
                 max_digest_bytes: cfg.max_digest_bytes,
-                incremental: cfg.incremental_analysis,
                 snap: Self::capture(cfg, data, stamp),
             })
         });
         match memo.downcast_ref::<StagedSnapshot>() {
-            Some(m)
-                if m.max_digest_bytes == cfg.max_digest_bytes
-                    && m.incremental == cfg.incremental_analysis =>
-            {
-                (m.snap.clone(), captured)
-            }
+            Some(m) if m.max_digest_bytes == cfg.max_digest_bytes => (m.snap.clone(), captured),
             _ => (Self::capture(cfg, data, stamp), true),
         }
     }
@@ -605,5 +595,22 @@ mod tests {
         assert!(shard.snapshots.contains_key(&path(3)), "pinned f3 untouched");
         assert!(shard.evict_oldest(true), "pinned eviction finds f3");
         assert!(shard.snapshots.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "snapshot drifted from FileSnapshot::capture")]
+    fn refresh_oracle_rejects_a_stale_memo() {
+        // One slot, two contents: what a VFS that failed to detach a
+        // staged slot on mutation would hand two namespaces.
+        let cfg = Config::protecting("/docs");
+        let path = VPath::new("/docs/a.txt");
+        let slot = MemoSlot::default();
+        let text = |tag: &str| -> Vec<u8> {
+            (0..200).flat_map(|i| format!("{tag} line {i}\n").into_bytes()).collect()
+        };
+        let (first, second) = (text("first"), text("second"));
+        SnapshotCache::new(&cfg).refresh(&cfg, &path, &first, content_stamp(&first), Some(&slot));
+        SnapshotCache::new(&cfg).refresh(&cfg, &path, &second, content_stamp(&second), Some(&slot));
     }
 }

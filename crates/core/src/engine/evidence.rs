@@ -5,34 +5,33 @@
 
 use std::sync::Arc;
 
-use cryptodrop_simhash::{content_fingerprint, SdDigest};
+use cryptodrop_simhash::SdDigest;
 use cryptodrop_sniff::FileType;
 use cryptodrop_vfs::{DirtyReport, VPath, MAX_DIRTY_EXTENTS};
 
 use crate::config::Config;
-use crate::indicators::similarity::{self, PostImageDigest, SimilarityOutcome};
+use crate::indicators::similarity::{self, SimilarityOutcome};
 use crate::indicators::type_change::TypeChangeOutcome;
 use crate::indicators::{Indicator, IndicatorHit};
 use crate::state::{FileSnapshot, IncrState};
 
-/// Whether the unchanged-content shortcuts (the tier-1 stamp skip and the
-/// fingerprint-unchanged close) may run. The degenerate
+/// Whether the tier-1 stamp skip may run. The degenerate
 /// `similarity_match_max >= 100` configuration would count even
-/// self-similarity as dissimilar, so it disables every one of them.
+/// self-similarity as dissimilar, so it disables the skip.
 pub(super) fn unchanged_shortcut(cfg: &Config) -> bool {
-    cfg.fingerprint_cache && cfg.score.similarity_match_max < 100
+    cfg.score.similarity_match_max < 100
 }
 
 /// Whether a changed close of `len` bytes stamped `stamp` may take the
 /// tier-2 dirty-extent delta from the resident snapshot `pre`.
 ///
-/// The delta path requires incremental analysis and an unbroken chain of
-/// custody: the resident snapshot retained its intermediates, its stamp
-/// equals the dirty report's base stamp (the snapshot describes exactly
-/// the content the handle started from), the close-time stamp equals the
-/// report's last stamp (no other handle interfered after the last write),
-/// the file did not shrink, and the whole content fits the digest window
-/// in both states.
+/// The delta path requires an unbroken chain of custody: the resident
+/// snapshot retained its intermediates, its stamp equals the dirty
+/// report's base stamp (the snapshot describes exactly the content the
+/// handle started from), the close-time stamp equals the report's last
+/// stamp (no other handle interfered after the last write), the file did
+/// not shrink, and the whole content fits the digest window in both
+/// states.
 pub(super) fn delta_applies(
     cfg: &Config,
     pre: &FileSnapshot,
@@ -40,8 +39,7 @@ pub(super) fn delta_applies(
     stamp: u64,
     d: &DirtyReport,
 ) -> bool {
-    cfg.incremental_analysis
-        && pre.incr.is_some()
+    pre.incr.is_some()
         && !d.full
         && stamp != 0
         && pre.stamp != 0
@@ -52,14 +50,13 @@ pub(super) fn delta_applies(
         && len <= cfg.max_digest_bytes
 }
 
-/// The refreshed snapshot of a *changed* close's content under
-/// incremental analysis, and whether the dirty-extent delta path
-/// ([`delta_applies`]) produced it: histogram updated by subtract/add,
-/// unchanged sdhash feature runs spliced from the cache. Otherwise the
-/// content is captured from scratch. Every product is bit-identical to a
-/// from-scratch recompute — the histogram delta is exact integer
-/// arithmetic and the sdhash splice is exact by construction
-/// (property-tested).
+/// The refreshed snapshot of a *changed* close's content, and whether
+/// the dirty-extent delta path ([`delta_applies`]) produced it: histogram
+/// updated by subtract/add, unchanged sdhash feature runs spliced from
+/// the cache. Otherwise the content is captured from scratch. Every
+/// product is bit-identical to a from-scratch recompute — the histogram
+/// delta is exact integer arithmetic and the sdhash splice is exact by
+/// construction (property-tested).
 pub(super) fn close_snapshot(
     cfg: &Config,
     pre: Option<&FileSnapshot>,
@@ -98,7 +95,6 @@ pub(super) fn close_snapshot(
         digest,
         entropy: histogram.entropy_lut(),
         len: current.len() as u64,
-        fingerprint: content_fingerprint(current),
         stamp,
         incr: Some(Arc::new(IncrState {
             histogram,
@@ -109,15 +105,14 @@ pub(super) fn close_snapshot(
 }
 
 /// The similarity of `current` to the pre-image `pre`, digesting the
-/// post-image over the digest window, plus what that pass learned about
-/// the post-image's digest so the refresh can reuse it.
+/// post-image over the digest window.
 pub(super) fn similarity_full(
     cfg: &Config,
     pre: &FileSnapshot,
     current: &[u8],
-) -> (SimilarityOutcome, PostImageDigest) {
+) -> SimilarityOutcome {
     let window = &current[..current.len().min(cfg.max_digest_bytes)];
-    similarity::evaluate_full(
+    similarity::evaluate(
         pre.digest.as_ref(),
         pre.entropy,
         window,

@@ -24,21 +24,21 @@
 //! several [`Vfs`](cryptodrop_vfs::Vfs) instances (one per OS thread, see
 //! [`Session::fork`](crate::Session::fork)) can drive one shared
 //! scoreboard without contending unless they actually touch the same
-//! process family, path, or file. Snapshots are keyed by a 64-bit content
-//! fingerprint so re-opening or re-closing a file whose bytes have not
-//! changed skips the expensive sniff/sdhash/entropy recompute entirely; see `DESIGN.md` ("Engine
-//! concurrency & caching") for the shard layout and cache invariants.
+//! process family, path, or file. Snapshots are keyed by the VFS content
+//! stamp so re-opening or re-closing a file whose bytes have not changed
+//! skips the expensive sniff/sdhash/entropy recompute entirely; see
+//! `DESIGN.md` ("Engine concurrency & caching") for the shard layout and
+//! cache invariants.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use cryptodrop_simhash::{content_fingerprint, SdDigest};
 use cryptodrop_sniff::{sniff, FileType};
 use cryptodrop_telemetry::{Counter, Histogram, JournalKind, Telemetry};
 use cryptodrop_vfs::{
-    DirtyReport, FileId, FilterDriver, FsOp, FsView, OpContext, OpOutcome, ProcessId, VPath,
-    Verdict,
+    content_stamp, DirtyReport, FileId, FilterDriver, FsOp, FsView, OpContext, OpOutcome,
+    ProcessId, VPath, Verdict,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -56,7 +56,7 @@ mod evidence;
 mod gates;
 
 pub use cache::CacheStats;
-use cache::{shard_index, SnapshotCache, SHARDS};
+use cache::{debug_assert_reference, shard_index, SnapshotCache, SHARDS};
 
 /// A detection: one process crossed its threshold and was suspended.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ struct EngineMetrics {
     /// Suspension verdicts issued.
     detections: Counter,
     /// Modified closes resolved by the content stamp alone: no sniff, no
-    /// digest, no fingerprint pass (the incremental fast path's best case).
+    /// digest, no content pass (the incremental fast path's best case).
     incr_stamp_skips: Counter,
     /// Changed closes analysed from their dirty extents (histogram delta
     /// plus sdhash feature splice) instead of a whole-content recompute.
@@ -386,8 +386,8 @@ impl Monitor {
         self.with_process(pid, |p| p.hits().to_vec()).unwrap_or_default()
     }
 
-    /// Snapshot-cache effectiveness counters (fingerprint hits/misses,
-    /// LRU evictions, resident path snapshots).
+    /// Snapshot-cache effectiveness counters (stamp hits/misses, LRU
+    /// evictions, resident path snapshots).
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
     }
@@ -499,9 +499,8 @@ impl CryptoDrop {
     }
 
     /// Compares `current` (sniffed as `post_type`) against the pre-image
-    /// `pre` with the reference similarity pass, which digests the
-    /// post-image itself. Returns the content hits and the post-image
-    /// digest, when the pass computed it, for the refresh to reuse.
+    /// `pre` with the similarity pass that digests the post-image itself,
+    /// and returns the content hits.
     fn compare_full(
         &self,
         pre: &FileSnapshot,
@@ -509,12 +508,11 @@ impl CryptoDrop {
         post_type: FileType,
         path: &VPath,
         at_nanos: u64,
-    ) -> ([Option<IndicatorHit>; 2], Option<Option<SdDigest>>) {
+    ) -> [Option<IndicatorHit>; 2] {
         let timer = self.shared.telemetry.start_timer();
-        let (sim, post_digest) = evidence::similarity_full(&self.cfg, pre, current);
+        let sim = evidence::similarity_full(&self.cfg, pre, current);
         self.eval_timer(Indicator::Similarity).record_elapsed(timer);
-        let hits = self.content_hits(pre, sim, post_type, path, at_nanos);
-        (hits, post_digest.into_reusable())
+        self.content_hits(pre, sim, post_type, path, at_nanos)
     }
 
     /// The file's content stamp, but only when an operation payload of
@@ -523,7 +521,7 @@ impl CryptoDrop {
     /// to read/write records so the analysis side can substitute a
     /// stamp-matching snapshot's entropy for an O(n) recompute.
     fn whole_content_stamp(&self, fs: &FsView<'_>, path: &VPath, offset: u64, len: usize) -> u64 {
-        if !self.cfg.incremental_analysis || offset != 0 {
+        if offset != 0 {
             return 0;
         }
         match fs.file_bytes(path) {
@@ -565,10 +563,9 @@ impl CryptoDrop {
         let cache = &self.shared.cache;
         match &rec.body {
             // O(1) when the resident path snapshot already carries this
-            // stamp (the refresh's fast branch); otherwise a full
-            // fingerprint pass or capture runs.
+            // stamp (the refresh's fast branch); otherwise a capture runs.
             RecordBody::Refresh { path, stamp, .. } => {
-                cfg.fingerprint_cache && *stamp != 0 && cache.path_has_stamp(path, *stamp)
+                *stamp != 0 && cache.path_has_stamp(path, *stamp)
             }
             // No content pass at all: map probes and score bookkeeping.
             RecordBody::Open { .. } | RecordBody::Truncate { .. } | RecordBody::Delete { .. } => {
@@ -584,11 +581,11 @@ impl CryptoDrop {
             } => self.known_entropy(*file, *stamp, data.len()).is_some(),
             // Light when the close path would take its tier-1 stamp skip
             // (same guard, same stamp comparison) or the tier-2 dirty-
-            // extent delta (O(dirty bytes) splicing plus one cheap
-            // fingerprint pass — already cheaper than cloning the content
-            // for the queue). Only a broken stamp chain forces the tier-3
-            // full sniff/sdhash/entropy recompute, and that is the pass
-            // worth handing to a worker.
+            // extent delta (O(dirty bytes) splicing plus one sniff —
+            // already cheaper than cloning the content for the queue).
+            // Only a broken stamp chain forces the tier-3 full
+            // sniff/sdhash/entropy recompute, and that is the pass worth
+            // handing to a worker.
             RecordBody::Close {
                 file,
                 current,
@@ -775,9 +772,10 @@ impl CryptoDrop {
                 if !modified || !self.shared.in_scope(cfg, path) {
                     return None;
                 }
-                let Some(current) = fs.file_bytes(path) else {
-                    return None; // deleted before close
-                };
+                // A node deleted, or renamed over, before the close is no
+                // longer at `path`: the bytes there are not the ones this
+                // handle wrote, and its own are gone.
+                let current = fs.file_bytes(path).filter(|_| fs.file_id(path) == Some(*file))?;
                 RecordBody::Close {
                     path: Cow::Borrowed(path),
                     file: *file,
@@ -1091,7 +1089,6 @@ impl CryptoDrop {
     ) -> Verdict {
         let cfg = &self.cfg;
         let cache = &self.shared.cache;
-        let shortcut = evidence::unchanged_shortcut(cfg);
         // Tier 1 — stamp-unchanged, O(1): the close-time content
         // stamp equals the resident snapshot's, so the content is
         // byte-identical to the pre-image. No content indicator
@@ -1099,10 +1096,11 @@ impl CryptoDrop {
         // funneling indicator reuses the snapshot's sniffed type,
         // and both snapshot indices are already current — only the
         // path entry's LRU tick needs touching. No sniff, no
-        // fingerprint pass, no snapshot clone, no allocation.
-        if shortcut && stamp != 0 {
+        // content pass, no snapshot clone, no allocation.
+        if evidence::unchanged_shortcut(cfg) && stamp != 0 {
             let resident_type = cache.resident(file, |s| (s.stamp == stamp).then_some(s.file_type));
             if let Some(file_type) = resident_type.flatten() {
+                debug_assert_eq!(stamp, content_stamp(current), "tier-1 close on a stale stamp");
                 cache.hit();
                 if self.shared.telemetry.is_enabled() {
                     self.shared.metrics.incr_stamp_skips.inc();
@@ -1112,75 +1110,34 @@ impl CryptoDrop {
                 return verdict;
             }
         }
-        let snapshot = cache.resident(file, FileSnapshot::clone);
-        // Zero-recompute gate, fingerprint flavor: consulted only
-        // when a stamp is unknown (tier 1 already resolved the
-        // both-stamps-known case, and two known, different stamps
-        // prove the content changed).
-        let unchanged = shortcut
-            && snapshot.as_ref().is_some_and(|s| {
-                (stamp == 0 || s.stamp == 0) && s.fingerprint == content_fingerprint(current)
-            });
-        // One sniff of the final content, shared by the funneling
-        // indicator, the type-change indicator, and the refresh.
+        // Tier 2/3 — delta-update the retained intermediates from the
+        // dirty extents when the stamp chain holds, recompute from
+        // scratch otherwise. Either way the products are bit-identical
+        // to a full recompute, the similarity indicator is evaluated
+        // against the precomputed digest, and the refreshed snapshot
+        // retains its intermediates for the *next* close. One sniff of
+        // the final content serves the funneling indicator, the
+        // type-change indicator, and the refresh.
+        let pre = cache.resident(file, FileSnapshot::clone);
         let post_type = sniff(current);
-        let (verdict, fresh) = match snapshot {
-            // Unchanged content reuses the existing snapshot outright.
-            Some(mut fresh) if unchanged => {
-                let verdict = self.score_close(rec, path, post_type, current, [None, None]);
-                cache.hit();
-                if cfg.incremental_analysis && stamp != 0 {
-                    // Adopt the stamp so the next close takes tier 1.
-                    fresh.stamp = stamp;
-                }
-                (verdict, fresh)
+        let (fresh, delta) =
+            evidence::close_snapshot(cfg, pre.as_ref(), current, stamp, dirty, post_type);
+        if self.shared.telemetry.is_enabled() {
+            if delta {
+                self.shared.metrics.incr_delta.inc();
+            } else {
+                self.shared.metrics.incr_full.inc();
             }
-            // The reference path: changed content reuses the sniff and
-            // the similarity pass's post-image digest instead of
-            // recomputing them.
-            pre if !cfg.incremental_analysis => {
-                let (hits, post_digest) = pre.as_ref().map_or(([None, None], None), |pre| {
-                    self.compare_full(pre, current, post_type, path, rec.at_nanos)
-                });
-                let verdict = self.score_close(rec, path, post_type, current, hits);
-                cache.miss();
-                let max = cfg.max_digest_bytes;
-                (verdict, FileSnapshot::capture_reusing(current, max, Some(post_type), post_digest))
-            }
-            // Tier 2/3 — changed close under incremental analysis:
-            // delta-update the retained intermediates from the dirty
-            // extents when the stamp chain holds, recompute from
-            // scratch otherwise. Either way the products are
-            // bit-identical to a full recompute, the similarity
-            // indicator is evaluated against the precomputed digest,
-            // and the refreshed snapshot retains its intermediates for
-            // the *next* close.
-            pre => {
-                let (fresh, delta) =
-                    evidence::close_snapshot(cfg, pre.as_ref(), current, stamp, dirty, post_type);
-                if self.shared.telemetry.is_enabled() {
-                    if delta {
-                        self.shared.metrics.incr_delta.inc();
-                    } else {
-                        self.shared.metrics.incr_full.inc();
-                    }
-                }
-                debug_assert_eq!(
-                    fresh,
-                    FileSnapshot::capture(current, cfg.max_digest_bytes),
-                    "incremental close analysis drifted from the full recompute"
-                );
-                let hits = pre.as_ref().map_or([None, None], |pre| {
-                    let timer = self.shared.telemetry.start_timer();
-                    let sim = evidence::similarity_precomputed(cfg, pre, fresh.digest.as_ref());
-                    self.eval_timer(Indicator::Similarity).record_elapsed(timer);
-                    self.content_hits(pre, sim, post_type, path, rec.at_nanos)
-                });
-                let verdict = self.score_close(rec, path, post_type, current, hits);
-                cache.miss();
-                (verdict, fresh)
-            }
-        };
+        }
+        debug_assert_reference(&fresh, current, cfg.max_digest_bytes);
+        let hits = pre.as_ref().map_or([None, None], |pre| {
+            let timer = self.shared.telemetry.start_timer();
+            let sim = evidence::similarity_precomputed(cfg, pre, fresh.digest.as_ref());
+            self.eval_timer(Indicator::Similarity).record_elapsed(timer);
+            self.content_hits(pre, sim, post_type, path, rec.at_nanos)
+        });
+        let verdict = self.score_close(rec, path, post_type, current, hits);
+        cache.miss();
         // The file's "previous version" is now what was just written.
         cache.store(path, file, fresh);
         verdict
@@ -1256,7 +1213,7 @@ impl CryptoDrop {
         let (pre, created) = self.shared.cache.replaced(to, replaced);
         let hits = match (pre, current) {
             (Some(pre), Some(current)) => {
-                self.compare_full(&pre, current, sniff(current), to, rec.at_nanos).0
+                self.compare_full(&pre, current, sniff(current), to, rec.at_nanos)
             }
             _ => [None, None],
         };
@@ -2033,7 +1990,7 @@ mod tests {
         }
         let stats = monitor.cache_stats();
         // The first open's pre_op capture is a miss (path never snapshotted);
-        // both closes and the second open's pre_op reuse the fingerprint.
+        // both closes and the second open's pre_op reuse the stamp.
         assert!(stats.hits >= 3, "expected >= 3 hits, got {stats:?}");
         assert_eq!(stats.misses, 1, "only the initial capture recomputes: {stats:?}");
         assert_eq!(stats.evictions, 0);
@@ -2362,87 +2319,99 @@ mod tests {
         assert!(report.union_triggered, "cache pressure must not break the link");
     }
 
-    /// Strips an [`IndicatorHit`] to its deterministic parts (timestamps
-    /// carry measured filter overhead and vary run to run).
-    fn stripped(hits: Vec<IndicatorHit>) -> Vec<(Indicator, u32, String)> {
-        hits.into_iter().map(|h| (h.indicator, h.points, h.detail)).collect()
+    #[test]
+    fn rename_out_and_back_encryptor_is_caught() {
+        // A file is warmed (stamp-cached) at its original path, renamed
+        // out of the tree, encrypted there, and renamed back to the *same*
+        // original path. The cache must never serve the stale pre-move
+        // snapshot; in debug builds the snapshot oracle checks every
+        // snapshot made or reused along the way.
+        let mut fs = Vfs::new();
+        let docs = VPath::new(DOCS);
+        for i in 0..24 {
+            fs.admin().write_file(
+                &docs.join(format!("dir{}/file{i}.txt", i % 3)),
+                &text_content(i, 4096),
+            )
+            .unwrap();
+        }
+        fs.admin().create_dir_all(&VPath::new("/tmp")).unwrap();
+        let (engine, monitor) = new_engine(Config::protecting(DOCS));
+        fs.register_filter(Box::new(engine));
+        let pid = fs.spawn_process("outandback.exe");
+        let tmp = VPath::new("/tmp");
+        'outer: for i in 0..24 {
+            let src = docs.join(format!("dir{}/file{i}.txt", i % 3));
+            if fs.admin().metadata(&src).is_err() {
+                continue;
+            }
+            // Warm the caches: an unchanged rewrite at the original path.
+            let Ok(h) = fs.open(pid, &src, OpenOptions::modify()) else {
+                break 'outer;
+            };
+            let data = fs.read_to_end(pid, h).unwrap_or_default();
+            if fs.seek(pid, h, 0).is_err()
+                || fs.write(pid, h, &data).is_err()
+                || fs.close(pid, h).is_err()
+            {
+                let _ = fs.close(pid, h);
+                break 'outer;
+            }
+            // Out of the tree, encrypt there, and back to the same path.
+            let staging = tmp.join(format!("s{i}.tmp"));
+            if fs.rename(pid, &src, &staging, false).is_err() {
+                break 'outer;
+            }
+            let Ok(h) = fs.open(pid, &staging, OpenOptions::modify()) else {
+                break 'outer;
+            };
+            let ct = encrypt(&data, 400 + i as u64);
+            if fs.seek(pid, h, 0).is_err()
+                || fs.write(pid, h, &ct).is_err()
+                || fs.close(pid, h).is_err()
+            {
+                let _ = fs.close(pid, h);
+                break 'outer;
+            }
+            if fs.rename(pid, &staging, &src, false).is_err() {
+                break 'outer;
+            }
+        }
+        assert!(fs.is_suspended(pid), "the out-and-back encryptor must still be caught");
+        let hits = monitor.hits(pid);
+        assert!(
+            hits.iter().any(|h| h.indicator == Indicator::Similarity),
+            "similarity must fire against the warmed pre-image: {hits:?}"
+        );
     }
 
     #[test]
-    fn rename_out_and_back_verdict_matches_cache_disabled_replay() {
-        // A file is warmed (fingerprint-cached) at its original path,
-        // renamed out of the tree, encrypted there, and renamed back to
-        // the *same* original path. The fingerprint cache must never serve
-        // the stale pre-move snapshot: the verdict and the full hit trail
-        // must be byte-identical to a replay with the cache disabled.
-        let run = |fingerprint_cache: bool| {
-            let mut fs = Vfs::new();
-            let docs = VPath::new(DOCS);
-            for i in 0..24 {
-                fs.admin().write_file(
-                    &docs.join(format!("dir{}/file{i}.txt", i % 3)),
-                    &text_content(i, 4096),
-                )
-                .unwrap();
-            }
-            fs.admin().create_dir_all(&VPath::new("/tmp")).unwrap();
-            let mut cfg = Config::protecting(DOCS);
-            cfg.fingerprint_cache = fingerprint_cache;
-            let (engine, monitor) = new_engine(cfg);
-            fs.register_filter(Box::new(engine));
-            let pid = fs.spawn_process("outandback.exe");
-            let tmp = VPath::new("/tmp");
-            'outer: for i in 0..24 {
-                let src = docs.join(format!("dir{}/file{i}.txt", i % 3));
-                if fs.admin().metadata(&src).is_err() {
-                    continue;
-                }
-                // Warm the caches: an unchanged rewrite at the original path.
-                let Ok(h) = fs.open(pid, &src, OpenOptions::modify()) else {
-                    break 'outer;
-                };
-                let data = fs.read_to_end(pid, h).unwrap_or_default();
-                if fs.seek(pid, h, 0).is_err()
-                    || fs.write(pid, h, &data).is_err()
-                    || fs.close(pid, h).is_err()
-                {
-                    let _ = fs.close(pid, h);
-                    break 'outer;
-                }
-                // Out of the tree, encrypt there, and back to the same path.
-                let staging = tmp.join(format!("s{i}.tmp"));
-                if fs.rename(pid, &src, &staging, false).is_err() {
-                    break 'outer;
-                }
-                let Ok(h) = fs.open(pid, &staging, OpenOptions::modify()) else {
-                    break 'outer;
-                };
-                let ct = encrypt(&data, 400 + i as u64);
-                if fs.seek(pid, h, 0).is_err()
-                    || fs.write(pid, h, &ct).is_err()
-                    || fs.close(pid, h).is_err()
-                {
-                    let _ = fs.close(pid, h);
-                    break 'outer;
-                }
-                if fs.rename(pid, &staging, &src, false).is_err() {
-                    break 'outer;
-                }
-            }
-            (
-                monitor.score(pid),
-                fs.is_suspended(pid),
-                monitor.detection_for(pid).map(|d| (d.score, d.union_triggered, d.files_lost)),
-                stripped(monitor.hits(pid)),
-            )
-        };
-        let cached = run(true);
-        let reference = run(false);
-        assert_eq!(
-            cached, reference,
-            "fingerprint cache must be invisible to verdicts"
-        );
-        assert!(cached.1, "the out-and-back encryptor must still be caught");
+    fn closing_a_handle_renamed_over_analyses_nothing() {
+        // A viewer holds `a.txt` open for modification and writes a few
+        // bytes; an editor then saves by writing `a.tmp` and renaming it
+        // over `a.txt`. The viewer's node is unlinked, so its close must
+        // not pair the replacement's bytes with the old node's stamp and
+        // dirty extents (which spliced a wrong snapshot for `a.txt`).
+        let mut fs = Vfs::new();
+        let docs = VPath::new("/docs");
+        let (a, tmp) = (docs.join("a.txt"), docs.join("a.tmp"));
+        fs.admin().write_file(&a, &text_content(1, 4096)).unwrap();
+        let telemetry = Telemetry::new(1 << 10);
+        let cfg = Config::protecting("/docs");
+        let (engine, monitor) = CryptoDrop::with_telemetry_inner(cfg, telemetry.clone());
+        fs.register_filter(Box::new(engine));
+        let viewer = fs.spawn_process("viewer.exe");
+        let h = fs.open(viewer, &a, OpenOptions::modify()).unwrap();
+        fs.write(viewer, h, b"viewer").unwrap();
+        let editor = fs.spawn_process("editor.exe");
+        fs.write_file(editor, &tmp, &text_content(2, 6008)).unwrap();
+        fs.rename(editor, &tmp, &a, true).unwrap();
+        fs.close(viewer, h).unwrap();
+        let counters = telemetry.metrics().snapshot().counters;
+        let tiers = ["stamp_skips", "delta_applied", "full_recompute"]
+            .map(|t| counters.get(&format!("engine.incremental.{t}")).copied().unwrap_or(0));
+        assert_eq!(tiers, [0, 0, 1], "only the editor's close of a.tmp is analysed");
+        assert!(monitor.detections().is_empty());
     }
 
     #[test]

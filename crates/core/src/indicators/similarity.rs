@@ -49,34 +49,6 @@ impl SimilarityOutcome {
     }
 }
 
-/// What [`evaluate_full`] learned about the post-image's digest, so a
-/// caller that also needs that digest (the engine's close-time snapshot
-/// refresh digests exactly the same window) can reuse it instead of
-/// recomputing sdhash over the content a second time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PostImageDigest {
-    /// Evaluation abstained before reaching the post-image; nothing is
-    /// known about its digest.
-    NotComputed,
-    /// The post-image was digested: `Some(d)` carries the digest,
-    /// `None` records that the content is undigestible (also a reusable
-    /// fact — the recompute would return `None` again).
-    Computed(Option<SdDigest>),
-}
-
-impl PostImageDigest {
-    /// Converts into the reuse argument for
-    /// [`FileSnapshot::capture_reusing`](crate::state::FileSnapshot::capture_reusing):
-    /// `Some(..)` when the digest outcome is known, `None` when it must
-    /// be computed fresh.
-    pub fn into_reusable(self) -> Option<Option<SdDigest>> {
-        match self {
-            PostImageDigest::NotComputed => None,
-            PostImageDigest::Computed(d) => Some(d),
-        }
-    }
-}
-
 /// Compares a snapshot digest against new content.
 ///
 /// * `pre_digest` — the pre-image's sdhash digest, if one existed.
@@ -91,43 +63,21 @@ pub fn evaluate(
     match_max: u32,
     max_source_entropy: f64,
 ) -> SimilarityOutcome {
-    evaluate_full(pre_digest, pre_entropy, post, match_max, max_source_entropy).0
-}
-
-/// [`evaluate`], additionally returning the post-image digest when the
-/// evaluation computed one (see [`PostImageDigest`]).
-pub fn evaluate_full(
-    pre_digest: Option<&SdDigest>,
-    pre_entropy: f64,
-    post: &[u8],
-    match_max: u32,
-    max_source_entropy: f64,
-) -> (SimilarityOutcome, PostImageDigest) {
     let Some(pre) = pre_digest else {
-        return (
-            SimilarityOutcome::Abstain(AbstainReason::NoPreImageDigest),
-            PostImageDigest::NotComputed,
-        );
+        return SimilarityOutcome::Abstain(AbstainReason::NoPreImageDigest);
     };
     if pre_entropy > max_source_entropy {
-        return (
-            SimilarityOutcome::Abstain(AbstainReason::HighEntropySource),
-            PostImageDigest::NotComputed,
-        );
+        return SimilarityOutcome::Abstain(AbstainReason::HighEntropySource);
     }
     let Some(post_digest) = SdDigest::compute(post) else {
-        return (
-            SimilarityOutcome::Abstain(AbstainReason::NoPostImageDigest),
-            PostImageDigest::Computed(None),
-        );
+        return SimilarityOutcome::Abstain(AbstainReason::NoPostImageDigest);
     };
     let score = pre.similarity(&post_digest);
-    let outcome = if score <= match_max {
+    if score <= match_max {
         SimilarityOutcome::Dissimilar(score)
     } else {
         SimilarityOutcome::Similar(score)
-    };
-    (outcome, PostImageDigest::Computed(Some(post_digest)))
+    }
 }
 
 /// [`evaluate`] against a post-image digest the caller already computed
@@ -221,30 +171,6 @@ mod tests {
         let digest = SdDigest::compute(&plain).unwrap();
         let out = evaluate(Some(&digest), 4.3, b"tiny", 10, 7.5);
         assert_eq!(out, SimilarityOutcome::Abstain(AbstainReason::NoPostImageDigest));
-    }
-
-    #[test]
-    fn evaluate_full_reports_post_digest() {
-        let plain = text(4096);
-        let digest = SdDigest::compute(&plain).unwrap();
-        let post = encrypt(&plain);
-        let (out, pd) = evaluate_full(Some(&digest), 4.3, &post, 10, 7.5);
-        assert!(out.fired());
-        assert_eq!(
-            pd,
-            PostImageDigest::Computed(SdDigest::compute(&post)),
-            "the returned digest must be the one a fresh compute yields"
-        );
-        // Abstaining before the post-image: digest unknown.
-        let (_, pd) = evaluate_full(None, 4.0, &post, 10, 7.5);
-        assert_eq!(pd, PostImageDigest::NotComputed);
-        assert_eq!(pd.clone().into_reusable(), None);
-        let (_, pd) = evaluate_full(Some(&digest), 7.9, &post, 10, 7.5);
-        assert_eq!(pd, PostImageDigest::NotComputed);
-        // Undigestible post-image: known-undigestible is reusable.
-        let (_, pd) = evaluate_full(Some(&digest), 4.3, b"tiny", 10, 7.5);
-        assert_eq!(pd, PostImageDigest::Computed(None));
-        assert_eq!(pd.into_reusable(), Some(None));
     }
 
     #[test]

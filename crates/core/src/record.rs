@@ -48,8 +48,8 @@ pub(crate) enum RecordBody<'a> {
         /// The path's content at pre-operation time (never empty).
         data: Cow<'a, [u8]>,
         /// The content's [stamp](cryptodrop_vfs::content_stamp) (`0` =
-        /// unknown): lets the refresh skip even the fingerprint pass when
-        /// the resident snapshot already carries this stamp.
+        /// unknown): lets the refresh skip the capture when the resident
+        /// snapshot already carries this stamp.
         stamp: u64,
         /// The memo slot of the staged content `data` still equals, when
         /// the path was staged shared and is unchanged since: lets a

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use cryptodrop_entropy::ByteHistogram;
-use cryptodrop_simhash::{content_fingerprint, FeatureCache, SdDigest};
+use cryptodrop_simhash::{FeatureCache, SdDigest};
 use cryptodrop_sniff::{sniff, FileType};
 use cryptodrop_vfs::{FileId, ProcessId};
 use serde::{Deserialize, Serialize};
@@ -40,10 +40,9 @@ pub struct IncrState {
 /// A snapshot of one file version: everything the indicators need to
 /// compare against a later version.
 ///
-/// Equality compares the five analysis fields only — `stamp` and `incr`
-/// are cache-acceleration metadata that two snapshots of identical
-/// content may legitimately disagree on (e.g. one captured with
-/// incremental analysis enabled and one without).
+/// Equality compares the four analysis fields only — `stamp` and `incr`
+/// are cache-acceleration metadata that the reference
+/// [`FileSnapshot::capture`] leaves empty.
 #[derive(Debug, Clone)]
 pub struct FileSnapshot {
     /// The sniffed type of the content.
@@ -55,23 +54,17 @@ pub struct FileSnapshot {
     pub entropy: f64,
     /// Content length in bytes.
     pub len: u64,
-    /// 64-bit fingerprint of the **full** content
-    /// ([`content_fingerprint`]): the snapshot cache's identity key.
-    /// Equal fingerprints mean the content is unchanged (modulo a 2⁻⁶⁴
-    /// collision) and the snapshot can be reused without recomputing the
-    /// digest, sniff, or entropy.
-    pub fingerprint: u64,
     /// The VFS [content stamp](cryptodrop_vfs::content_stamp) of the
-    /// content this snapshot describes, or `0` when unknown. A nonzero
-    /// stamp equal to a close outcome's stamp proves the content is
-    /// unchanged in O(1), without the fingerprint's O(n) pass.
+    /// content this snapshot describes, or `0` when unknown: the snapshot
+    /// cache's content key. A nonzero stamp equal to the file's current
+    /// stamp proves the content is unchanged in O(1).
     pub stamp: u64,
     /// Analysis intermediates for incremental re-analysis, when captured
-    /// with incremental analysis enabled.
+    /// by [`FileSnapshot::capture_incremental`].
     pub incr: Option<Arc<IncrState>>,
 }
 
-// Hand-written (not derived) so that serialization covers the five
+// Hand-written (not derived) so that serialization covers the four
 // analysis fields only: `stamp` and `incr` are in-memory cache
 // acceleration, meaningless outside the process that captured them.
 impl Serialize for FileSnapshot {
@@ -81,7 +74,6 @@ impl Serialize for FileSnapshot {
             ("digest".to_string(), self.digest.to_value()),
             ("entropy".to_string(), self.entropy.to_value()),
             ("len".to_string(), self.len.to_value()),
-            ("fingerprint".to_string(), self.fingerprint.to_value()),
         ])
     }
 }
@@ -94,7 +86,6 @@ impl PartialEq for FileSnapshot {
             && self.digest == other.digest
             && self.entropy == other.entropy
             && self.len == other.len
-            && self.fingerprint == other.fingerprint
     }
 }
 
@@ -102,51 +93,16 @@ impl FileSnapshot {
     /// Captures a snapshot from file content, digesting at most
     /// `max_digest_bytes` (a prefix digest bounds per-operation cost on
     /// huge files while remaining comparable against other prefix digests).
+    ///
+    /// This is the reference every engine snapshot is checked against in
+    /// debug builds: it retains no intermediates and records stamp `0`.
     pub fn capture(data: &[u8], max_digest_bytes: usize) -> Self {
-        Self::capture_reusing(data, max_digest_bytes, None, None)
-    }
-
-    /// Captures a snapshot, reusing analysis products the caller already
-    /// computed over the same content.
-    ///
-    /// * `file_type` — the sniffed type of the *full* content, if already
-    ///   sniffed (the engine's close path sniffs once and shares the
-    ///   result between the funneling indicator, the type-change
-    ///   indicator, and this refresh).
-    /// * `digest` — the sdhash digest of the content's
-    ///   `max_digest_bytes` prefix, if already computed: `Some(None)`
-    ///   records "computed, content undigestible" and also skips the
-    ///   recompute. The similarity indicator digests exactly this window,
-    ///   so its post-image digest is directly reusable here.
-    ///
-    /// Produces a value identical to [`FileSnapshot::capture`] as long as
-    /// the reused pieces were computed over the same bytes.
-    pub fn capture_reusing(
-        data: &[u8],
-        max_digest_bytes: usize,
-        file_type: Option<FileType>,
-        digest: Option<Option<SdDigest>>,
-    ) -> Self {
         let window = &data[..data.len().min(max_digest_bytes)];
-        // Entropy and fingerprint fuse into one pass when the digest
-        // window spans the whole content (the overwhelmingly common
-        // case); oversized files pay one extra pass for the full-content
-        // fingerprint.
-        let (entropy, fingerprint) = if window.len() == data.len() {
-            let (hist, fp) = ByteHistogram::from_bytes_with_fingerprint(window);
-            (hist.entropy_lut(), fp)
-        } else {
-            (
-                ByteHistogram::from_bytes(window).entropy_lut(),
-                content_fingerprint(data),
-            )
-        };
         Self {
-            file_type: file_type.unwrap_or_else(|| sniff(data)),
-            digest: digest.unwrap_or_else(|| SdDigest::compute(window)),
-            entropy,
+            file_type: sniff(data),
+            digest: SdDigest::compute(window),
+            entropy: ByteHistogram::from_bytes(window).entropy_lut(),
             len: data.len() as u64,
-            fingerprint,
             stamp: 0,
             incr: None,
         }
@@ -164,14 +120,7 @@ impl FileSnapshot {
         file_type: Option<FileType>,
     ) -> Self {
         let window = &data[..data.len().min(max_digest_bytes)];
-        let (histogram, fingerprint) = if window.len() == data.len() {
-            ByteHistogram::from_bytes_with_fingerprint(window)
-        } else {
-            (
-                ByteHistogram::from_bytes(window),
-                content_fingerprint(data),
-            )
-        };
+        let histogram = ByteHistogram::from_bytes(window);
         let (digest, features) = match SdDigest::compute_with_cache(window) {
             Some((d, c)) => (Some(d), Some(c)),
             None => (None, None),
@@ -181,7 +130,6 @@ impl FileSnapshot {
             digest,
             entropy: histogram.entropy_lut(),
             len: data.len() as u64,
-            fingerprint,
             stamp,
             incr: Some(Arc::new(IncrState {
                 histogram,
@@ -873,44 +821,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_fingerprint_tracks_content() {
-        let a = FileSnapshot::capture(b"content version one, long enough", 1 << 20);
-        let b = FileSnapshot::capture(b"content version two, long enough", 1 << 20);
-        let a2 = FileSnapshot::capture(b"content version one, long enough", 1 << 20);
-        assert_ne!(a.fingerprint, b.fingerprint);
-        assert_eq!(a, a2, "capture is deterministic, fingerprint included");
-        // The fingerprint covers the full content even when the digest
-        // window is capped: a change beyond the window must invalidate.
-        let long: Vec<u8> = (0..4096u32).flat_map(|i| format!("{i:03} ").into_bytes()).collect();
-        let mut tail_changed = long.clone();
-        let n = tail_changed.len();
-        tail_changed[n - 1] ^= 0x55;
-        let capped = FileSnapshot::capture(&long, 1024);
-        let capped_changed = FileSnapshot::capture(&tail_changed, 1024);
-        assert_ne!(capped.fingerprint, capped_changed.fingerprint);
-        assert_eq!(capped.fingerprint, content_fingerprint(&long));
-    }
-
-    #[test]
-    fn capture_reusing_matches_plain_capture() {
+    fn capture_incremental_matches_capture_and_records_the_stamp() {
         let text: Vec<u8> = (0..300u32)
-            .flat_map(|i| format!("reused-analysis line {i}\n").into_bytes())
+            .flat_map(|i| format!("incremental-capture line {i}\n").into_bytes())
             .collect();
-        let plain = FileSnapshot::capture(&text, 1 << 20);
-        let window = &text[..];
-        let reused = FileSnapshot::capture_reusing(
-            &text,
-            1 << 20,
-            Some(sniff(&text)),
-            Some(SdDigest::compute(window)),
-        );
-        assert_eq!(plain, reused);
-        // Reusing a "computed, undigestible" result is also faithful.
-        let tiny = b"sub-512B";
-        assert_eq!(
-            FileSnapshot::capture(tiny, 1 << 20),
-            FileSnapshot::capture_reusing(tiny, 1 << 20, None, Some(None)),
-        );
+        // A full window, a capped window, and a sub-512 B input.
+        for (data, max) in [(&text[..], 1 << 20), (&text[..], 1024), (&text[..100], 1 << 20)] {
+            let reference = FileSnapshot::capture(data, max);
+            let incr = FileSnapshot::capture_incremental(data, max, 42, None);
+            assert_eq!(incr, reference, "{} bytes, window {max}", data.len());
+            assert_eq!(incr.stamp, 42);
+            assert!(incr.incr.is_some());
+            assert_eq!(reference.stamp, 0);
+            assert!(reference.incr.is_none());
+        }
+        assert!(FileSnapshot::capture(&text[..100], 1 << 20).digest.is_none());
     }
 
     #[test]

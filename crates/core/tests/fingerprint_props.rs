@@ -1,14 +1,8 @@
-//! Property tests for the snapshot-cache content fingerprint.
-//!
-//! The engine's zero-recompute path is only sound if the fingerprint
-//! never treats changed content as unchanged in practice. These
-//! properties pin the invariants the cache relies on: size alone never
-//! produces a collision between distinct contents, every crate computes
-//! the same fingerprint, and the engine recomputes whenever bytes
-//! actually changed.
+//! Content identity: the fingerprint that recovery and the fleet corpus
+//! dedup by never confuses distinct contents of one size, and the engine's
+//! snapshot cache recomputes whenever the bytes actually changed.
 
-use cryptodrop::{CryptoDrop, FileSnapshot};
-use cryptodrop_entropy::ByteHistogram;
+use cryptodrop::CryptoDrop;
 use cryptodrop_simhash::content_fingerprint;
 use cryptodrop_vfs::{OpenOptions, VPath, Vfs};
 use proptest::prelude::*;
@@ -23,51 +17,6 @@ proptest! {
     ) {
         prop_assume!(a != b);
         prop_assert_ne!(content_fingerprint(&a), content_fingerprint(&b));
-    }
-
-    /// The fused histogram+fingerprint pass agrees with the canonical
-    /// fingerprint bit for bit (the two crates keep constants in
-    /// lockstep; this is the cross-crate check).
-    #[test]
-    fn fused_pass_agrees_with_canonical_fingerprint(
-        data in proptest::collection::vec(any::<u8>(), 0..4096),
-    ) {
-        let (hist, fp) = ByteHistogram::from_bytes_with_fingerprint(&data);
-        prop_assert_eq!(fp, content_fingerprint(&data));
-        prop_assert_eq!(hist, ByteHistogram::from_bytes(&data));
-    }
-
-    /// A snapshot's fingerprint is the canonical fingerprint of the FULL
-    /// content, and any single-bit mutation changes it — so a cache hit
-    /// can never skip a changed file.
-    #[test]
-    fn single_bit_mutation_invalidates_snapshot(
-        data in proptest::collection::vec(any::<u8>(), 1..2048),
-        idx in any::<u16>(),
-        bit in 0u32..8,
-    ) {
-        let snap = FileSnapshot::capture(&data, 256 * 1024);
-        prop_assert_eq!(snap.fingerprint, content_fingerprint(&data));
-        let mut mutated = data.clone();
-        let i = (idx as usize) % mutated.len();
-        mutated[i] ^= 1 << bit;
-        prop_assert_ne!(content_fingerprint(&mutated), snap.fingerprint);
-    }
-
-    /// The fingerprint covers bytes beyond the digest window: mutating
-    /// only the tail (outside `max_digest_bytes`) still invalidates.
-    #[test]
-    fn tail_mutation_beyond_digest_window_invalidates(
-        head in proptest::collection::vec(any::<u8>(), 64..256),
-        tail_byte in any::<u8>(),
-    ) {
-        let window = 64usize;
-        let snap = FileSnapshot::capture(&head, window);
-        let mut grown = head.clone();
-        grown.push(tail_byte);
-        // The appended tail must invalidate even though the digest
-        // window itself is unchanged.
-        prop_assert_ne!(content_fingerprint(&grown), snap.fingerprint);
     }
 }
 

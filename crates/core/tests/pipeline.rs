@@ -107,7 +107,7 @@ fn run_stream(session: &Session, seed: u64) -> Replay {
                 note("evil", "close", fs.close(pid, h).is_ok());
             }
             // Benign editor: copy a document, then a no-op re-save of the
-            // original (the fingerprint cache's hit path).
+            // original (the snapshot cache's stamp-hit path).
             5..=7 => {
                 let src = docs.join(format!("file{}.txt", 12 + editor_cursor % 6));
                 editor_cursor += 1;

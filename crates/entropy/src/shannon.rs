@@ -90,36 +90,6 @@ impl ByteHistogram {
         h
     }
 
-    /// Builds a histogram and a 64-bit content fingerprint of `bytes` in
-    /// one fused pass.
-    ///
-    /// The fingerprint is FNV-1a over the bytes with the length folded in
-    /// and a final avalanche mix — bit-for-bit the same function as
-    /// `cryptodrop_simhash::content_fingerprint` (the two crates keep the
-    /// constants in lockstep; the workspace suite cross-checks them).
-    /// Callers that need both the entropy of a buffer and its identity
-    /// key (the analysis engine's snapshot refresh path) pay a single
-    /// traversal instead of two.
-    pub fn from_bytes_with_fingerprint(bytes: &[u8]) -> (Self, u64) {
-        let mut counts = vec![0u64; 256];
-        // FNV-1a 64 offset basis / prime.
-        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            counts[b as usize] += 1;
-            fnv ^= u64::from(b);
-            fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let len = bytes.len() as u64;
-        // Length fold + splitmix64 finalizer (matches `content_fingerprint`).
-        let mut h = fnv ^ len.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        (Self { counts, total: len }, h)
-    }
-
     /// Adds every byte of `bytes` to the histogram.
     pub fn add(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -423,28 +393,6 @@ mod tests {
         let mut h2 = ByteHistogram::new();
         h2.extend(bytes.iter().copied());
         assert_eq!(h2, h);
-    }
-
-    #[test]
-    fn fused_pass_matches_plain_histogram() {
-        for data in [&b""[..], b"aabbbc", b"the quick brown fox", &[0u8; 512]] {
-            let (h, fp) = ByteHistogram::from_bytes_with_fingerprint(data);
-            assert_eq!(h, ByteHistogram::from_bytes(data));
-            let (h2, fp2) = ByteHistogram::from_bytes_with_fingerprint(data);
-            assert_eq!(h2, h);
-            assert_eq!(fp2, fp, "fingerprint must be deterministic");
-        }
-    }
-
-    #[test]
-    fn fused_fingerprint_separates_contents() {
-        let (_, a) = ByteHistogram::from_bytes_with_fingerprint(b"abc");
-        let (_, b) = ByteHistogram::from_bytes_with_fingerprint(b"abd");
-        let (_, c) = ByteHistogram::from_bytes_with_fingerprint(b"acb");
-        assert_ne!(a, b);
-        // Same histogram, different byte order: the fingerprint is
-        // order-sensitive even though the histogram is not.
-        assert_ne!(a, c);
     }
 
     #[test]

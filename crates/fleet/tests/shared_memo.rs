@@ -167,20 +167,6 @@ fn configs() -> Vec<(&'static str, Config)> {
                 ..base()
             },
         ),
-        (
-            "no incremental analysis",
-            Config {
-                incremental_analysis: false,
-                ..base()
-            },
-        ),
-        (
-            "no fingerprint cache",
-            Config {
-                fingerprint_cache: false,
-                ..base()
-            },
-        ),
     ]
 }
 

@@ -1,20 +1,15 @@
-//! Cheap 64-bit content fingerprints for snapshot-cache keys.
+//! Cheap 64-bit content fingerprints.
 //!
-//! The analysis engine snapshots a file (type sniff + sdhash digest +
-//! entropy) every time the file is about to change. Most of those
-//! snapshots are recomputed over content that has not changed since the
-//! last snapshot — a write-open of a file the engine just refreshed at
-//! close time, or a close that wrote the very bytes that were read. A
-//! fingerprint lets the engine detect "content unchanged" with a single
-//! linear pass and skip the full (digest-bearing) recompute.
+//! Recovery dedups shadow blobs by fingerprint, the fleet's shared corpus
+//! keys its copy-on-write blobs by it, and the experiments audit restored
+//! files against pre-attack fingerprints. (The analysis engine keys its
+//! snapshot cache by the VFS content stamp instead, which the VFS keeps
+//! current on every write.)
 //!
 //! The fingerprint is FNV-1a over the full content with the length folded
 //! in, finished with an avalanche mix. It is **not** cryptographic: an
-//! adversary who can engineer a 64-bit collision could make the engine
-//! reuse a stale snapshot, but the reused snapshot describes content with
-//! the same fingerprint *and the same length*, and a collision still
-//! requires defeating a 2⁻⁶⁴ birthday bound per file — far more effort
-//! than the evasion channels the paper already accepts (§V-F).
+//! adversary who can engineer a 64-bit collision could make two distinct
+//! contents look identical to a fingerprint comparison.
 
 /// The FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -26,10 +21,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Equal contents always produce equal fingerprints; distinct contents
 /// (including distinct contents of the same length) produce distinct
 /// fingerprints except with probability ~2⁻⁶⁴.
-///
-/// The value must stay in lockstep with
-/// `cryptodrop_entropy::ByteHistogram::from_bytes_with_fingerprint`,
-/// which computes the same function fused with a histogram pass.
 ///
 /// # Examples
 ///

@@ -167,8 +167,9 @@ impl<'a> FsView<'a> {
 
     /// The file's current [content stamp](crate::content_stamp), if the
     /// path names a file. Maintained incrementally by the VFS; equal
-    /// stamps mean equal content (modulo a 2⁻⁶⁴ collision), including
-    /// across [`Vfs`] instances.
+    /// stamps mean equal content, including across [`Vfs`] instances,
+    /// unless the content was crafted to collide (the stamp is linear,
+    /// not a keyed hash).
     pub fn file_stamp(&self, path: &VPath) -> Option<u64> {
         self.vfs.file_stamp_impl(path)
     }

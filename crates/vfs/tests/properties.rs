@@ -1,6 +1,11 @@
 //! Property-based tests for VFS invariants.
 
-use cryptodrop_vfs::{OpenOptions, Vfs, VPath};
+use std::sync::{Arc, Mutex};
+
+use cryptodrop_vfs::{
+    content_stamp, FilterDriver, FsOp, FsView, OpContext, OpOutcome, OpenOptions, Verdict, Vfs,
+    VPath,
+};
 use proptest::prelude::*;
 
 /// A strategy for path-safe file/directory names.
@@ -14,7 +19,89 @@ fn rel_path_strategy() -> impl Strategy<Value = String> {
     proptest::collection::vec(name_strategy(), 1..4).prop_map(|v| v.join("/"))
 }
 
+/// One handle-I/O step: (operation, file, handle pick, offset or length,
+/// payload).
+fn io_step() -> impl Strategy<Value = (u8, usize, u8, u64, Vec<u8>)> {
+    (0u8..8, 0usize..3, any::<u8>(), 0u64..2048, proptest::collection::vec(any::<u8>(), 0..256))
+}
+
+/// Checks in `post_op` that the stamp the VFS keeps for each of `paths`
+/// is the stamp of that file's bytes, and that a close's stamp is the
+/// closed file's whenever its path still names it. Records mismatches.
+struct StampAudit {
+    paths: Vec<VPath>,
+    mismatches: Arc<Mutex<Vec<String>>>,
+}
+
+impl FilterDriver for StampAudit {
+    fn name(&self) -> &str {
+        "stamp-audit"
+    }
+
+    fn post_op(&mut self, ctx: &OpContext<'_>, outcome: &OpOutcome<'_>, fs: &FsView<'_>) -> Verdict {
+        let mut bad = self.mismatches.lock().unwrap();
+        for path in &self.paths {
+            if let (Some(bytes), Some(stamp)) = (fs.file_bytes(path), fs.file_stamp(path)) {
+                if stamp != content_stamp(bytes) {
+                    bad.push(format!("after {}: {path} stamped {stamp:#x}", ctx.op.name()));
+                }
+            }
+        }
+        if let (FsOp::Close { path, .. }, OpOutcome::Close { file, stamp, .. }) = (&ctx.op, outcome) {
+            if fs.file_id(path) == Some(*file) {
+                let bytes = fs.file_bytes(path).unwrap_or_default();
+                if *stamp != content_stamp(bytes) {
+                    bad.push(format!("close of {path} reported stamp {stamp:#x}"));
+                }
+            }
+        }
+        Verdict::Allow
+    }
+}
+
 proptest! {
+    /// The content stamp the VFS maintains incrementally equals a full
+    /// recompute over the bytes, through random handle I/O: opens,
+    /// seeks, writes (past the end, which zero-fills), truncates, closes
+    /// and overwriting renames over a few files, with several handles
+    /// open at once.
+    #[test]
+    fn stamps_track_bytes_through_handle_io(ops in proptest::collection::vec(io_step(), 1..48)) {
+        let paths: Vec<VPath> = (0..3).map(|i| VPath::new(format!("/d/f{i}"))).collect();
+        let mismatches = Arc::new(Mutex::new(Vec::new()));
+        let mut fs = Vfs::new();
+        fs.register_filter(Box::new(StampAudit {
+            paths: paths.clone(),
+            mismatches: Arc::clone(&mismatches),
+        }));
+        let pid = fs.spawn_process("prop.exe");
+        fs.create_dir_all(pid, &VPath::new("/d")).unwrap();
+        let mut handles = Vec::new();
+        for (op, f, pick, offset, data) in &ops {
+            let handle = (!handles.is_empty()).then(|| *pick as usize % handles.len());
+            match (op, handle) {
+                (0, _) => handles.extend(fs.open(pid, &paths[*f], OpenOptions::modify()).ok()),
+                (1, _) => handles.extend(fs.open(pid, &paths[*f], OpenOptions::create()).ok()),
+                (2, Some(i)) => fs.seek(pid, handles[i], *offset).unwrap(),
+                // Writes are drawn twice as often as any other step.
+                (3 | 4, Some(i)) => {
+                    fs.write(pid, handles[i], data).unwrap();
+                }
+                (5, Some(i)) => fs.truncate(pid, handles[i], *offset).unwrap(),
+                (6, Some(i)) => fs.close(pid, handles.swap_remove(i)).unwrap(),
+                (7, _) => {
+                    let _ = fs.rename(pid, &paths[*f], &paths[(*f + 1) % 3], true);
+                }
+                _ => {}
+            }
+        }
+        for h in handles {
+            fs.close(pid, h).unwrap();
+        }
+        let mismatches = mismatches.lock().unwrap().clone();
+        prop_assert!(mismatches.is_empty(), "{:?}", mismatches);
+    }
+
     /// Path normalization is idempotent.
     #[test]
     fn path_normalization_idempotent(raw in "[a-zA-Z0-9_./\\\\-]{0,40}") {
