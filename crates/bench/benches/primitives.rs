@@ -1,8 +1,10 @@
 //! Bench: the analysis primitives — Shannon entropy, sdhash vs CTPH
-//! digesting and comparison (the paper's similarity-scheme choice), type
+//! digesting and comparison (the paper's similarity-scheme choice), the
+//! dirty-extent sdhash splice and the cold snapshot capture, type
 //! sniffing, and the simulation ciphers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use cryptodrop::{Config, FileSnapshot};
 use cryptodrop_entropy::shannon_entropy;
 use cryptodrop_malware::cipher::{ChaCha20, Cipher, Rc4, XorCipher, XteaCbc};
 use cryptodrop_simhash::{CtphDigest, SdDigest};
@@ -20,6 +22,27 @@ fn bench(c: &mut Criterion) {
     group.bench_function("entropy/64k_text", |b| b.iter(|| shannon_entropy(&text)));
     group.bench_function("sniff/64k_pdf", |b| b.iter(|| sniff(&pdf)));
     group.bench_function("sdhash/digest_64k", |b| b.iter(|| SdDigest::compute(&text)));
+    let cipher_text = ChaCha20::from_seed(1).encrypt(&text);
+    group.bench_function("sdhash/digest_64k_cipher", |b| {
+        b.iter(|| SdDigest::compute(&cipher_text))
+    });
+    // The tier-2 close: a one-byte mid-file edit plus a 64-byte append,
+    // spliced into the previous version's feature cache.
+    let (_, features) = SdDigest::compute_with_cache(&text).unwrap();
+    let mut edited = text.clone();
+    let mid = edited.len() / 2;
+    edited[mid] ^= 0x20;
+    edited.extend_from_slice(&text[..64]);
+    let dirty = [(mid, mid + 1), (text.len(), edited.len())];
+    group.bench_function("sdhash/recompute_dirty_64k", |b| {
+        b.iter(|| SdDigest::recompute_dirty(&features, &edited, &dirty))
+    });
+    // The cold capture behind every pre-open refresh and tier-3 close:
+    // sniff, byte histogram and sdhash with its feature cache.
+    let max_digest_bytes = Config::protecting("/").max_digest_bytes;
+    group.bench_function("snapshot/capture_incremental_64k", |b| {
+        b.iter(|| FileSnapshot::capture_incremental(&text, max_digest_bytes, 1, None))
+    });
     group.bench_function("ctph/digest_64k", |b| b.iter(|| CtphDigest::compute(&text)));
 
     // The similarity-scheme ablation: comparison costs.

@@ -40,9 +40,9 @@ pub(super) fn debug_assert_reference(snap: &FileSnapshot, data: &[u8], max_diges
 /// [`Monitor::cache_stats`](super::Monitor::cache_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Snapshot refreshes and closes satisfied by an unchanged content
-    /// stamp, or by a staged-content memo (no sniff/digest/entropy
-    /// recompute).
+    /// Snapshot refreshes, closes and Class C links satisfied by an
+    /// unchanged content stamp, or by a staged-content memo (no
+    /// sniff/digest/entropy recompute).
     pub hits: u64,
     /// Snapshot refreshes that had to recompute (content changed, or no
     /// prior snapshot existed).

@@ -34,6 +34,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use cryptodrop_simhash::SdDigest;
 use cryptodrop_sniff::{sniff, FileType};
 use cryptodrop_telemetry::{Counter, Histogram, JournalKind, Telemetry};
 use cryptodrop_vfs::{
@@ -515,6 +516,23 @@ impl CryptoDrop {
         self.content_hits(pre, sim, post_type, path, at_nanos)
     }
 
+    /// Compares a post-image whose digest is already computed (and which
+    /// sniffed as `post_type`) against the pre-image `pre`, and returns
+    /// the content hits.
+    fn compare_precomputed(
+        &self,
+        pre: &FileSnapshot,
+        post: Option<&SdDigest>,
+        post_type: FileType,
+        path: &VPath,
+        at_nanos: u64,
+    ) -> [Option<IndicatorHit>; 2] {
+        let timer = self.shared.telemetry.start_timer();
+        let sim = evidence::similarity_precomputed(&self.cfg, pre, post);
+        self.eval_timer(Indicator::Similarity).record_elapsed(timer);
+        self.content_hits(pre, sim, post_type, path, at_nanos)
+    }
+
     /// The file's content stamp, but only when an operation payload of
     /// `len` bytes at `offset` is provably the file's **entire** content
     /// right now — otherwise `0` (unknown). Record builders attach this
@@ -605,7 +623,9 @@ impl CryptoDrop {
             }
             // A replaced protected destination drags in the Class C
             // content evaluation; a plain move is bookkeeping.
-            RecordBody::Rename { replaced, .. } => replaced.as_ref().is_none_or(|(_, c)| c.is_none()),
+            RecordBody::Rename { replaced, .. } => {
+                replaced.as_ref().is_none_or(|(_, c, _)| c.is_none())
+            }
         }
     }
 
@@ -807,7 +827,7 @@ impl CryptoDrop {
                 // filesystem.
                 let replaced = replaced
                     .filter(|_| to_protected)
-                    .map(|id| (id, fs.read_file(to).ok()));
+                    .map(|id| (id, fs.read_file(to).ok(), fs.file_stamp(to).unwrap_or(0)));
                 // Track files leaving the protected directories (Class B).
                 // This is fast-path bookkeeping: the very next operation's
                 // scope check must already see the tracked path.
@@ -888,8 +908,8 @@ impl CryptoDrop {
                 file,
                 replaced,
             } => {
-                let verdict = replaced.as_ref().map_or(Verdict::Allow, |(id, current)| {
-                    self.on_replace(rec, to, *id, current.as_deref())
+                let verdict = replaced.as_ref().map_or(Verdict::Allow, |(id, current, stamp)| {
+                    self.on_replace(rec, to, *file, *id, current.as_deref(), *stamp)
                 });
                 self.shared.cache.follow_move(from, to, *file);
                 verdict
@@ -1131,10 +1151,7 @@ impl CryptoDrop {
         }
         debug_assert_reference(&fresh, current, cfg.max_digest_bytes);
         let hits = pre.as_ref().map_or([None, None], |pre| {
-            let timer = self.shared.telemetry.start_timer();
-            let sim = evidence::similarity_precomputed(cfg, pre, fresh.digest.as_ref());
-            self.eval_timer(Indicator::Similarity).record_elapsed(timer);
-            self.content_hits(pre, sim, post_type, path, rec.at_nanos)
+            self.compare_precomputed(pre, fresh.digest.as_ref(), post_type, path, rec.at_nanos)
         });
         let verdict = self.score_close(rec, path, post_type, current, hits);
         cache.miss();
@@ -1202,18 +1219,32 @@ impl CryptoDrop {
     /// The Class C link: an "independent" encrypted copy moved over a
     /// protected original is compared against the original's retained
     /// snapshot (paper §V-B2). As in the pre-shard engine, the
-    /// replacement is scored against the issuing pid.
+    /// replacement is scored against the issuing pid. When the moved
+    /// `file`'s resident snapshot carries the destination's stamp — its
+    /// own close already captured exactly these bytes — that snapshot's
+    /// digest and type stand in for digesting the replacement again.
     fn on_replace(
         &self,
         rec: &OpRecord<'_>,
         to: &VPath,
+        file: FileId,
         replaced: FileId,
         current: Option<&[u8]>,
+        stamp: u64,
     ) -> Verdict {
-        let (pre, created) = self.shared.cache.replaced(to, replaced);
+        let cache = &self.shared.cache;
+        let (pre, created) = cache.replaced(to, replaced);
         let hits = match (pre, current) {
             (Some(pre), Some(current)) => {
-                self.compare_full(&pre, current, sniff(current), to, rec.at_nanos)
+                let same = |s: &FileSnapshot| stamp != 0 && s.stamp == stamp;
+                let moved = cache.resident(file, |s| same(s).then(|| (s.digest.clone(), s.file_type)));
+                if let Some((digest, post_type)) = moved.flatten() {
+                    debug_assert_eq!(stamp, content_stamp(current), "Class C link on a stale stamp");
+                    cache.hit();
+                    self.compare_precomputed(&pre, digest.as_ref(), post_type, to, rec.at_nanos)
+                } else {
+                    self.compare_full(&pre, current, sniff(current), to, rec.at_nanos)
+                }
             }
             _ => [None, None],
         };
@@ -1496,6 +1527,31 @@ mod tests {
             report.union_triggered,
             "rename-over-original enables union linking (41/63 in the paper)"
         );
+    }
+
+    #[test]
+    fn class_c_move_over_reuses_the_copys_snapshot() {
+        // The encrypted copy's close snapshots exactly the bytes that the
+        // rename moves over the original, so the Class C link reuses that
+        // snapshot (one cache hit) instead of digesting them again, and
+        // still scores the similarity drop.
+        let (mut fs, monitor) = setup(1);
+        let pid = fs.spawn_process("classc.exe");
+        let src = VPath::new(DOCS).join("dir0/file0.txt");
+        let enc_path = VPath::new(DOCS).join("dir0/file0.enc");
+        let data = fs.read_file(pid, &src).unwrap();
+        fs.write_file(pid, &enc_path, &encrypt(&data, 77)).unwrap();
+        let similarity_hits = |m: &Monitor| {
+            m.hits(pid)
+                .iter()
+                .filter(|h| h.indicator == Indicator::Similarity)
+                .count()
+        };
+        assert_eq!(similarity_hits(&monitor), 0, "a new file has no pre-image");
+        let before = monitor.cache_stats().hits;
+        fs.rename(pid, &enc_path, &src, true).unwrap();
+        assert_eq!(monitor.cache_stats().hits, before + 1);
+        assert_eq!(similarity_hits(&monitor), 1, "the move-over is scored");
     }
 
     #[test]

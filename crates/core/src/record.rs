@@ -132,8 +132,9 @@ pub(crate) enum RecordBody<'a> {
         /// The moved file's id.
         file: FileId,
         /// A replaced protected destination — the Class C link input: its
-        /// file id, and its content after the move when readable.
-        replaced: Option<(FileId, Option<Vec<u8>>)>,
+        /// file id, its content after the move when readable, and that
+        /// content's stamp (`0` when unknown).
+        replaced: Option<(FileId, Option<Vec<u8>>, u64)>,
     },
 }
 

@@ -7,7 +7,10 @@
 //! evaluation at close and rename-replace. We reproduce the *shape* by
 //! measuring real wall-clock time inside the filter callbacks, per
 //! operation kind; absolute values differ (in-memory filesystem, modern
-//! hardware, optimized build).
+//! hardware, optimized build). One divergence is by design: a
+//! rename-replace whose moved copy was just closed reuses the snapshot
+//! that close captured, so here the close carries the content analysis
+//! and such a rename stays cheaper than a close.
 
 use cryptodrop::{Config, CryptoDrop};
 use cryptodrop_corpus::Corpus;
@@ -80,9 +83,9 @@ pub fn run(corpus: &Corpus, config: &Config) -> PerfTable {
         }
         if i % 7 == 0 && !f.read_only {
             // The safe-save pattern: write a sibling, rename it over the
-            // original — the rename-replace path carries the engine's
-            // snapshot + content evaluation, the paper's most expensive
-            // operation class.
+            // original — the paper's most expensive operation class. The
+            // rename-replace evaluates the content against the snapshot
+            // the sibling's close captured.
             let staged = f.path.with_appended_suffix(".new");
             let _ = fs.write_file(pid, &staged, &f.data);
             let _ = fs.rename(pid, &staged, &f.path, true);
@@ -139,10 +142,11 @@ impl PerfTable {
         let mut out = String::from("§V-H — filter-added latency per operation kind\n\n");
         out.push_str(&t.render());
         out.push_str(
-            "\nThe comparison is of *shape*: rename and write carry the expensive \
-             content analysis, close carries re-measurement, open/read are cheap. \
-             Absolute values differ (simulated in-memory volume vs the paper's \
-             unoptimized debug build on 2016 hardware).\n",
+            "\nThe comparison is of *shape*: the paper's rename and write carry the \
+             expensive content analysis; here close carries it, and a safe-save's \
+             rename-replace reuses the snapshot its copy's close captured. Absolute \
+             values differ (simulated in-memory volume vs the paper's unoptimized \
+             debug build on 2016 hardware).\n",
         );
         out
     }
@@ -166,18 +170,25 @@ mod tests {
                 "{op} not measured"
             );
         }
-        // The paper's shape: the operation classes that carry content
-        // analysis (rename-replace and the close-time evaluation; the
-        // paper's write/rename at 9/16 ms vs sub-millisecond reads)
-        // dominate plain reads, which only pay an entropy pass.
-        for heavy in ["rename", "close"] {
-            assert!(
-                get(heavy) > 2.0 * get("read"),
-                "{heavy} {:.1}µs must dominate read {:.1}µs",
-                get(heavy),
-                get("read")
-            );
-        }
+        // The paper's shape: the operation class that carries content
+        // analysis (the close-time evaluation; the paper's write/rename at
+        // 9/16 ms vs sub-millisecond reads) dominates plain reads, which
+        // only pay an entropy pass.
+        assert!(
+            get("close") > 2.0 * get("read"),
+            "close {:.1}µs must dominate read {:.1}µs",
+            get("close"),
+            get("read")
+        );
+        // The safe-save's rename-replace reuses the snapshot its copy's
+        // close captured instead of digesting the same bytes again, so it
+        // costs well under a close.
+        assert!(
+            2.0 * get("rename") < get("close"),
+            "rename {:.1}µs must stay well below close {:.1}µs",
+            get("rename"),
+            get("close")
+        );
         assert!(table.render().contains("rename"));
     }
 }

@@ -9,7 +9,13 @@
 //! SHA-1 is used here as a *fingerprint*, exactly as sdhash uses it; its
 //! cryptographic weaknesses are irrelevant to similarity digests.
 
+/// The SHA-1 initial state.
+const SHA1_INIT: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+
 /// Computes the SHA-1 digest of `data` as five big-endian 32-bit words.
+///
+/// Full blocks are hashed in place and the padded tail on the stack, so
+/// hashing allocates nothing.
 ///
 /// # Examples
 ///
@@ -20,52 +26,82 @@
 /// assert_eq!(words[0], 0xa9993e36);
 /// ```
 pub fn sha1_words(data: &[u8]) -> [u32; 5] {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-
-    // Message padding: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut h = SHA1_INIT;
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, &schedule(block));
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 80];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+    // Message padding: the tail, 0x80, zeros, 64-bit big-endian bit
+    // length — two blocks when the tail leaves no room for the length.
+    let tail = blocks.remainder();
+    let mut pad = [0u8; 128];
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()] = 0x80;
+    let padded = if tail.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    pad[padded - 8..padded].copy_from_slice(&bit_len.to_be_bytes());
+    for block in pad[..padded].chunks_exact(64) {
+        compress(&mut h, &schedule(block));
     }
     h
+}
+
+/// [`sha1_words`] of one 64-byte block, an sdhash feature. The padding
+/// block of a 64-byte message never changes, so its schedule is a
+/// constant.
+pub(crate) fn sha1_64(block: &[u8; 64]) -> [u32; 5] {
+    const PAD_64: [u32; 80] = {
+        let mut w = [0u32; 80];
+        w[0] = 0x8000_0000;
+        w[15] = 512;
+        let mut i = 16;
+        while i < 80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+            i += 1;
+        }
+        w
+    };
+    let mut h = SHA1_INIT;
+    compress(&mut h, &schedule(block));
+    compress(&mut h, &PAD_64);
+    h
+}
+
+/// The 80-word message schedule of one 64-byte block.
+fn schedule(block: &[u8]) -> [u32; 80] {
+    let mut w = [0u32; 80];
+    for (wi, word) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    w
+}
+
+/// The 80 rounds of the SHA-1 compression function over the scheduled
+/// block `w`, added into the state `h`: four stages of 20 rounds, each
+/// with its own round function and constant.
+fn compress(h: &mut [u32; 5], w: &[u32; 80]) {
+    let mut s = *h;
+    stage(&mut s, w, 0x5A827999, |b, c, d| (b & c) | (!b & d));
+    stage(&mut s, &w[20..], 0x6ED9EBA1, |b, c, d| b ^ c ^ d);
+    stage(&mut s, &w[40..], 0x8F1BBCDC, |b, c, d| b & c | d & (b | c));
+    stage(&mut s, &w[60..], 0xCA62C1D6, |b, c, d| b ^ c ^ d);
+    for (hi, v) in h.iter_mut().zip(s) {
+        *hi = hi.wrapping_add(v);
+    }
+}
+
+/// Twenty SHA-1 rounds on the state `[a, b, c, d, e]`, over the first 20
+/// words of `w`, with the stage's function `f` and constant `k`.
+fn stage(s: &mut [u32; 5], w: &[u32], k: u32, f: impl Fn(u32, u32, u32) -> u32) {
+    for &wi in &w[..20] {
+        let [a, b, c, d, e] = *s;
+        let t = a.rotate_left(5).wrapping_add(f(b, c, d)).wrapping_add(e);
+        let t = t.wrapping_add(k).wrapping_add(wi);
+        *s = [t, a, b.rotate_left(30), c, d];
+    }
 }
 
 /// The SHA-1 digest as a lowercase hex string (for tests and reports).
@@ -149,14 +185,39 @@ mod tests {
 
     #[test]
     fn sha1_padding_boundaries() {
-        // Lengths straddling the 55/56/64-byte padding edges.
-        for len in [54usize, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
-            let data = vec![0x5Au8; len];
-            // Self-consistency: incremental lengths give distinct digests.
-            let h1 = sha1_hex(&data);
-            let mut d2 = data.clone();
-            d2.push(0);
-            assert_ne!(h1, sha1_hex(&d2));
+        // Lengths straddling the 55/56/64-byte padding edges, over bytes
+        // (7i + 3) mod 256. Expected digests from Python's hashlib:
+        // hashlib.sha1(bytes((i * 7 + 3) % 256 for i in range(n))).
+        let expected = [
+            (0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (1, "9842926af7ca0a8cca12604f945414f07b01e13d"),
+            (55, "ddf57317ef34bfee3b6df83d359098930eb278bc"),
+            (56, "a0d492bb0fc889d0eca3bc137066ab6f4f74f369"),
+            (63, "c55856749bef509bdfe6bfebfc7bf4e793e82132"),
+            (64, "bede92be29c3874e1b54ddc77988d606fc857a8e"),
+            (65, "b05a80522b053d6dc7e0a517d0e70212c7dad11f"),
+            (119, "504e27376a6e0f0dba8295b85cb25dc4dfa17d23"),
+            (120, "82134b02fb3f702491be9bed581eeab59334acb2"),
+            (128, "a09133e6730ffe899efb70204cb5646cd5dc24ee"),
+            (1000, "4231a8a50a10fa9758db8ec71fdef855b751048a"),
+        ];
+        for (len, hex) in expected {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(sha1_hex(&data), hex, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn sha1_64_matches_the_general_path() {
+        let mut s = 0x5EED_u64;
+        for _ in 0..200 {
+            let block: [u8; 64] = std::array::from_fn(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s as u8
+            });
+            assert_eq!(sha1_64(&block), sha1_words(&block));
         }
     }
 

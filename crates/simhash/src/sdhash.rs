@@ -12,26 +12,27 @@
 //!
 //! The implementation follows the published scheme:
 //!
-//! 1. slide a 64-byte feature window over the input, computing each
-//!    window's empirical entropy incrementally in O(1) per position;
-//! 2. assign each feature an entropy-derived *precedence rank*, discarding
-//!    trivially weak (near-zero entropy) and near-saturated features;
+//! 1. slide a 64-byte feature window over the input, keeping its byte
+//!    counts and `S = Σ c·log2(c)` in exact fixed point, O(1) per position;
+//! 2. give each feature an entropy-derived *precedence rank* in integer
+//!    arithmetic (`H/Hmax = 1 − S/Smax`), discarding trivially weak
+//!    (near-zero entropy) and near-saturated features;
 //! 3. select *popular* features — those that are the leftmost rank-maximum
 //!    of at least [`POPULARITY_THRESHOLD`] of the sliding 64-position
-//!    neighborhoods containing them;
+//!    neighborhoods containing them: the length of the position's one run
+//!    of wins, since these maxima never move left;
 //! 4. hash each selected feature with SHA-1 and insert it into a sequence
 //!    of 2048-bit Bloom filters, at most 160 features per filter;
 //! 5. compare digests filter-by-filter: each filter of the shorter digest
 //!    is scored against its best match in the other digest, and the scores
 //!    are averaged into a 0–100 confidence.
 
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
 use crate::bloom::BloomFilter;
-use crate::hash::sha1_words;
+use crate::hash::sha1_64;
 
 /// The sliding feature size, in bytes.
 pub const FEATURE_SIZE: usize = 64;
@@ -94,14 +95,8 @@ impl SdDigest {
         if data.len() < MIN_FILE_SIZE {
             return None;
         }
-        let ranks = precedence_ranks(data);
-        let features: Vec<CachedFeature> = select_popular(&ranks)
-            .into_iter()
-            .map(|idx| CachedFeature {
-                pos: idx as u32,
-                words: sha1_words(&data[idx..idx + FEATURE_SIZE]),
-            })
-            .collect();
+        let mut features = Vec::new();
+        select_features(data, 0, data.len() + 1 - FEATURE_SIZE, &mut features);
         let digest = build_digest(&features, data.len())?;
         Some((
             digest,
@@ -140,13 +135,11 @@ impl SdDigest {
             return None;
         }
         let windows = n - FEATURE_SIZE + 1;
-        let win = POPULARITY_WINDOW.min(windows);
-        debug_assert!(win == POPULARITY_WINDOW, "MIN_FILE_SIZE keeps windows >= 64");
 
         // A changed byte range [s, e) alters ranks of window positions
-        // [s − (FEATURE_SIZE−1), e), and popularity a further win−1
-        // positions on each side of those.
-        let horizon = (FEATURE_SIZE - 1) + (win - 1);
+        // [s − (FEATURE_SIZE−1), e), and popularity a further
+        // POPULARITY_WINDOW−1 positions on each side of those.
+        let horizon = (FEATURE_SIZE - 1) + (POPULARITY_WINDOW - 1);
         let mut regions: Vec<(usize, usize)> = Vec::new();
         for &(s, e) in dirty {
             let e = e.min(n);
@@ -154,7 +147,7 @@ impl SdDigest {
                 continue;
             }
             let lo = s.saturating_sub(horizon);
-            let hi = (e + win - 1).min(windows);
+            let hi = (e + POPULARITY_WINDOW - 1).min(windows);
             if lo < hi {
                 regions.push((lo, hi));
             }
@@ -170,7 +163,7 @@ impl SdDigest {
 
         let mut fresh: Vec<CachedFeature> = Vec::new();
         for &(lo, hi) in &merged {
-            region_features(data, windows, win, lo, hi, &mut fresh);
+            select_features(data, lo, hi, &mut fresh);
         }
 
         // Splice: cached features outside every recomputed region, merged in
@@ -315,125 +308,139 @@ fn build_digest(features: &[CachedFeature], input_len: usize) -> Option<SdDigest
 /// is what makes windowed re-selection safe to splice.
 const RANK_FX: f64 = (1u64 << 32) as f64;
 
-/// `round(c · log2(c) · 2^32)` for counts 0..=64.
-fn clog_fx() -> &'static [i64; FEATURE_SIZE + 1] {
-    static TABLE: OnceLock<[i64; FEATURE_SIZE + 1]> = OnceLock::new();
+/// `Smax`: the window sum of a constant window, `64·log2(64)` in 32.32
+/// fixed point, where the window entropy is 0.
+const SUM_MAX: u64 = 384 << 32;
+
+/// The fixed-point `c·log2(c)` table, `round(c · log2(c) · 2^32)` for
+/// counts 0..=64, as steps: entry `c` is how much `S` grows when a count
+/// goes from `c` to `c + 1`. Entries past 63 are zero, so a byte value
+/// indexes the table without a bounds check.
+fn clog_steps() -> &'static [i64; 256] {
+    static TABLE: OnceLock<[i64; 256]> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut t = [0i64; FEATURE_SIZE + 1];
-        for (c, slot) in t.iter_mut().enumerate().skip(2) {
-            *slot = (c as f64 * (c as f64).log2() * RANK_FX).round() as i64;
+        let clog = |c: usize| (c as f64 * (c as f64).log2() * RANK_FX).round() as i64;
+        let mut t = [0i64; 256];
+        for (c, step) in t.iter_mut().enumerate().take(FEATURE_SIZE).skip(1) {
+            *step = clog(c + 1) - clog(c);
         }
         t
     })
 }
 
-/// Computes each 64-byte window's precedence rank in O(n).
-///
-/// Window entropy is maintained incrementally: with `S = Σ c·log2(c)` over
-/// the window's byte counts (in exact fixed point), `H = log2(W) − S/W`,
-/// and sliding the window adjusts `S` by two table lookups.
-fn precedence_ranks(data: &[u8]) -> Vec<u32> {
-    let n = data.len();
-    debug_assert!(n >= FEATURE_SIZE);
-    ranks_in(data, 0, n - FEATURE_SIZE + 1)
+/// A window's entropy as a share of the 6-bit maximum, scaled to
+/// 0..=[`ENTROPY_SCALE`] and rounded half up, from its fixed-point sum:
+/// `H/Hmax = 1 − S/Smax`. Exact integer arithmetic, equal at every
+/// `S` in `0..=Smax` to the test reference's float formula (the
+/// breakpoint test checks both sides of each of its steps).
+fn scaled_entropy(sum: u64) -> u32 {
+    ((u64::from(ENTROPY_SCALE) * SUM_MAX.saturating_sub(sum) + SUM_MAX / 2) / SUM_MAX) as u32
 }
 
-/// Precedence ranks for window positions `lo..hi` only (requires
-/// `hi + FEATURE_SIZE − 1 <= data.len()`). Exactly equal to the
-/// corresponding slice of [`precedence_ranks`] thanks to the fixed-point
-/// accumulator.
-fn ranks_in(data: &[u8], lo: usize, hi: usize) -> Vec<u32> {
-    debug_assert!(lo < hi && hi + FEATURE_SIZE - 1 <= data.len());
-    let clog = clog_fx();
-    let mut counts = [0usize; 256];
-    let mut s = 0i64;
-    for &b in &data[lo..lo + FEATURE_SIZE] {
-        let c = counts[b as usize];
-        s += clog[c + 1] - clog[c];
-        counts[b as usize] = c + 1;
-    }
-    let w = FEATURE_SIZE as f64;
-    let max_h = w.log2(); // 6 bits
-
-    let mut ranks = Vec::with_capacity(hi - lo);
-    for i in lo..hi {
-        if i > lo {
-            // Slide: remove data[i-1], add data[i + FEATURE_SIZE - 1].
-            let out = data[i - 1] as usize;
-            let c = counts[out];
-            s += clog[c - 1] - clog[c];
-            counts[out] = c - 1;
-            let inc = data[i + FEATURE_SIZE - 1] as usize;
-            let c = counts[inc];
-            s += clog[c + 1] - clog[c];
-            counts[inc] = c + 1;
-        }
-        let h = (max_h - (s as f64 / RANK_FX) / w).max(0.0);
-        let scaled = ((h / max_h) * ENTROPY_SCALE as f64).round() as u32;
-        ranks.push(rank_of(scaled.min(ENTROPY_SCALE)));
-    }
-    ranks
+/// The byte counts of a sliding window and their sum `S = Σ c·log2(c)`,
+/// kept exact in fixed point: two table lookups per slide, and a window
+/// started mid-file sums to the same value as a full pass.
+struct Window {
+    counts: [u8; 256],
+    sum: i64,
+    steps: &'static [i64; 256],
 }
 
-/// Re-selects features for window positions `lo..hi` of `data`, appending
-/// them to `out` in position order.
-///
-/// Replicates [`select_popular`]'s window-counting rule exactly, restricted
-/// to the complete neighborhoods that can credit a position in the region:
-/// window starts in `[lo − (win−1), min(hi − 1, windows − win)]`.
-fn region_features(
-    data: &[u8],
-    windows: usize,
-    win: usize,
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<CachedFeature>,
-) {
-    debug_assert!(lo < hi && hi <= windows && win <= windows);
-    let r_lo = lo.saturating_sub(win - 1);
-    let r_hi = (hi + win - 1).min(windows);
-    let ranks = ranks_in(data, r_lo, r_hi);
-    let q_hi = (hi - 1).min(windows - win);
-    let mut pop = vec![0u32; hi - lo];
-    let mut deque: VecDeque<usize> = VecDeque::new();
-    if q_hi + win > r_lo {
-        for i in r_lo..(q_hi + win) {
-            let ri = i - r_lo;
-            // Maintain decreasing ranks; equal ranks keep the earlier index
-            // at the front so the leftmost maximum wins (as in
-            // `select_popular`).
-            while let Some(&back) = deque.back() {
-                if ranks[back] < ranks[ri] {
-                    deque.pop_back();
-                } else {
-                    break;
-                }
-            }
-            deque.push_back(ri);
-            if i + 1 >= r_lo + win {
-                let q = i + 1 - win; // absolute start of the complete window
-                while let Some(&front) = deque.front() {
-                    if front + r_lo < q {
-                        deque.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(&front) = deque.front() {
-                    let p = front + r_lo;
-                    if p >= lo && p < hi {
-                        pop[p - lo] += 1;
-                    }
-                }
-            }
-        }
+impl Window {
+    fn new(bytes: &[u8]) -> Self {
+        let mut w = Window {
+            counts: [0; 256],
+            sum: 0,
+            steps: clog_steps(),
+        };
+        bytes.iter().for_each(|&b| w.add(b));
+        w
     }
-    for p in lo..hi {
-        if ranks[p - r_lo] > 0 && pop[p - lo] >= POPULARITY_THRESHOLD {
-            out.push(CachedFeature {
-                pos: p as u32,
-                words: sha1_words(&data[p..p + FEATURE_SIZE]),
-            });
+
+    fn add(&mut self, b: u8) {
+        let c = &mut self.counts[b as usize];
+        self.sum += self.steps[*c as usize];
+        *c += 1;
+    }
+
+    fn remove(&mut self, b: u8) {
+        let c = &mut self.counts[b as usize];
+        *c -= 1;
+        self.sum -= self.steps[*c as usize];
+    }
+
+    fn rank(&self) -> u32 {
+        rank_of(scaled_entropy(self.sum as u64))
+    }
+}
+
+/// Appends to `out`, in position order and SHA-1 hashed, the features
+/// that a whole-input selection picks at window positions `lo..hi`.
+///
+/// One streaming pass over the neighborhoods that can credit a position
+/// in `lo..hi`. A position's key is `rank << 32 | (u32::MAX − pos)`, so a
+/// neighborhood's largest key is its leftmost maximal rank. That key is
+/// the larger of the suffix maximum of the 64-position block the
+/// neighborhood starts in and the prefix maximum of the next block (van
+/// Herk/Gil-Werman). Successive neighborhood maxima never move left, so
+/// each position's popularity is the length of its run of wins, and a
+/// run that ends at least [`POPULARITY_THRESHOLD`] long on a nonzero rank
+/// selects its position.
+fn select_features(data: &[u8], lo: usize, hi: usize, out: &mut Vec<CachedFeature>) {
+    const W: usize = POPULARITY_WINDOW;
+    assert!(data.len() <= u32::MAX as usize, "positions are u32");
+    let windows = data.len() + 1 - FEATURE_SIZE;
+    debug_assert!(lo < hi && hi <= windows && W <= windows);
+    // Neighborhoods start in q_lo..=q_hi and span positions q_lo..end.
+    let q_lo = lo.saturating_sub(W - 1);
+    let q_hi = (hi - 1).min(windows - W);
+    let end = q_hi + W;
+    let mut window = Window::new(&data[q_lo..q_lo + FEATURE_SIZE - 1]);
+    // The keys of positions start..start + W, zero past `end`.
+    let mut fill = |block: &mut [u64; W], start: usize| {
+        let n = end.saturating_sub(start).min(W);
+        let slides = data[start..].iter().zip(&data[start + FEATURE_SIZE - 1..]);
+        for ((key, (&old, &new)), p) in block[..n].iter_mut().zip(slides).zip(start as u32..) {
+            window.add(new);
+            *key = u64::from(window.rank()) << 32 | u64::from(u32::MAX - p);
+            window.remove(old);
+        }
+        block[n..].fill(0);
+    };
+    let mut block = [0u64; W];
+    let mut suffix = [0u64; W + 1];
+    // A block's selections: the keys of runs that ended in it at least
+    // POPULARITY_THRESHOLD long on a nonzero rank.
+    let mut ended = [0u64; W + 1];
+    let (mut best, mut run) = (0u64, 0u32);
+    fill(&mut block, q_lo);
+    for start in (q_lo..=q_hi).step_by(W) {
+        for j in (0..W).rev() {
+            suffix[j] = suffix[j + 1].max(block[j]);
+        }
+        fill(&mut block, start + W);
+        let (mut prefix, mut n) = (0u64, 0);
+        for j in 0..W.min(q_hi + 1 - start) {
+            let max = suffix[j].max(prefix);
+            prefix = prefix.max(block[j]);
+            let moved = max != best;
+            ended[n] = best;
+            n += usize::from(moved & (run >= POPULARITY_THRESHOLD) & (best >> 32 > 0));
+            run = if moved { 1 } else { run + 1 };
+            best = max;
+        }
+        // The last neighborhood ends the last run.
+        if run >= POPULARITY_THRESHOLD && best >> 32 > 0 && start + W > q_hi {
+            ended[n] = best;
+            n += 1;
+        }
+        for &key in &ended[..n] {
+            let pos = u32::MAX - key as u32;
+            let p = pos as usize;
+            if (lo..hi).contains(&p) {
+                let words = sha1_64(data[p..p + FEATURE_SIZE].try_into().expect("64 bytes"));
+                out.push(CachedFeature { pos, words });
+            }
         }
     }
 }
@@ -447,53 +454,6 @@ fn rank_of(scaled_entropy: u32) -> u32 {
         return 0;
     }
     ENTROPY_SCALE - (650i64 - scaled_entropy as i64).unsigned_abs() as u32
-}
-
-/// Selects the indices of popular features: for every length-64 run of
-/// consecutive window positions, the leftmost position with maximal rank
-/// gets a popularity point; positions with at least
-/// [`POPULARITY_THRESHOLD`] points (and nonzero rank) are selected.
-///
-/// Implemented with a monotonic deque for O(n) total work.
-fn select_popular(ranks: &[u32]) -> Vec<usize> {
-    let n = ranks.len();
-    let mut popularity = vec![0u32; n];
-    let win = POPULARITY_WINDOW.min(n);
-    let mut deque: VecDeque<usize> = VecDeque::new();
-    for i in 0..n {
-        // Maintain decreasing ranks; equal ranks keep the earlier index at
-        // the front so the leftmost maximum wins.
-        while let Some(&back) = deque.back() {
-            if ranks[back] < ranks[i] {
-                deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        deque.push_back(i);
-        if let Some(&front) = deque.front() {
-            if front + win == i + 1 && deque.len() > 1 {
-                // front leaving the window next iteration is handled below.
-            }
-        }
-        // Window [i + 1 - win, i] is complete once i + 1 >= win.
-        if i + 1 >= win {
-            let start = i + 1 - win;
-            while let Some(&front) = deque.front() {
-                if front < start {
-                    deque.pop_front();
-                } else {
-                    break;
-                }
-            }
-            if let Some(&front) = deque.front() {
-                popularity[front] += 1;
-            }
-        }
-    }
-    (0..n)
-        .filter(|&i| ranks[i] > 0 && popularity[i] >= POPULARITY_THRESHOLD)
-        .collect()
 }
 
 #[cfg(test)]
@@ -641,12 +601,12 @@ mod tests {
 
     #[test]
     fn select_popular_degenerate_inputs() {
-        assert!(select_popular(&[]).is_empty());
-        assert!(select_popular(&[0; 10]).is_empty());
+        assert!(reference_popular(&[]).is_empty());
+        assert!(reference_popular(&[0; 10]).is_empty());
         // A single dominant rank in a long run is selected.
         let mut ranks = vec![500u32; 200];
         ranks[100] = 900;
-        let sel = select_popular(&ranks);
+        let sel = reference_popular(&ranks);
         assert!(sel.contains(&100));
     }
 
@@ -724,6 +684,8 @@ mod tests {
                 }
             }
             let spliced = SdDigest::recompute_dirty(&cache, &data, &dirty);
+            let reference = reference_digest(&data);
+            assert_eq!(spliced, reference, "case {case}: spliced vs reference");
             let scratch = SdDigest::compute_with_cache(&data);
             match (spliced, scratch) {
                 (Some((d, c)), Some((d2, c2))) => {
@@ -743,10 +705,19 @@ mod tests {
 
     #[test]
     fn incremental_entropy_matches_direct() {
-        // Cross-check precedence_ranks' incremental entropy against a
-        // direct per-window computation.
+        // Cross-check the reference's fixed-point window entropy, and the
+        // kernel's streamed ranks, against a direct float per-window
+        // computation.
         let data = random_bytes(1024, 11);
-        let ranks = precedence_ranks(&data);
+        let ranks = reference_ranks(&data);
+        let mut window = Window::new(&data[..FEATURE_SIZE]);
+        for (i, &r) in ranks.iter().enumerate() {
+            assert_eq!(window.rank(), r, "window {i}");
+            if let Some(&new) = data.get(i + FEATURE_SIZE) {
+                window.add(new);
+                window.remove(data[i]);
+            }
+        }
         for (i, &r) in ranks.iter().enumerate().step_by(97) {
             let window = &data[i..i + FEATURE_SIZE];
             let mut counts = [0u32; 256];
@@ -763,5 +734,183 @@ mod tests {
             let scaled = ((h / 6.0) * 1000.0).round() as u32;
             assert_eq!(r, rank_of(scaled.min(1000)), "window {i}");
         }
+    }
+
+    // The naive reference the streaming kernel must reproduce: fresh
+    // counts per window, the float rank formula the integer one replaced,
+    // a scan of every neighborhood, and the general SHA-1.
+
+    /// The float formula: a window's scaled entropy from its fixed-point
+    /// sum.
+    fn reference_scaled(sum: i64) -> u32 {
+        let w = FEATURE_SIZE as f64;
+        let max_h = w.log2();
+        let h = (max_h - (sum as f64 / RANK_FX) / w).max(0.0);
+        (((h / max_h) * ENTROPY_SCALE as f64).round() as u32).min(ENTROPY_SCALE)
+    }
+
+    /// Every window's rank, each summed from a fresh count array.
+    fn reference_ranks(data: &[u8]) -> Vec<u32> {
+        let clog: Vec<i64> = clog_steps()[..=FEATURE_SIZE]
+            .iter()
+            .scan(0, |sum, step| Some(std::mem::replace(sum, *sum + step)))
+            .collect();
+        data.windows(FEATURE_SIZE)
+            .map(|window| {
+                let mut counts = [0usize; 256];
+                for &b in window {
+                    counts[b as usize] += 1;
+                }
+                rank_of(reference_scaled(counts.iter().map(|&c| clog[c]).sum()))
+            })
+            .collect()
+    }
+
+    /// The selected positions: every 64-position neighborhood credits its
+    /// leftmost maximal rank; positions with nonzero rank and at least
+    /// [`POPULARITY_THRESHOLD`] credits are selected.
+    fn reference_popular(ranks: &[u32]) -> Vec<usize> {
+        let mut wins = vec![0u32; ranks.len()];
+        let win = POPULARITY_WINDOW.min(ranks.len()).max(1);
+        for (start, window) in ranks.windows(win).enumerate() {
+            let best = window.iter().max().expect("non-empty window");
+            let leftmost = window.iter().position(|r| r == best).expect("a maximum");
+            wins[start + leftmost] += 1;
+        }
+        (0..ranks.len())
+            .filter(|&i| ranks[i] > 0 && wins[i] >= POPULARITY_THRESHOLD)
+            .collect()
+    }
+
+    fn reference_features(data: &[u8]) -> Vec<CachedFeature> {
+        reference_popular(&reference_ranks(data))
+            .into_iter()
+            .map(|p| CachedFeature {
+                pos: p as u32,
+                words: crate::hash::sha1_words(&data[p..p + FEATURE_SIZE]),
+            })
+            .collect()
+    }
+
+    fn reference_digest(data: &[u8]) -> Option<(SdDigest, FeatureCache)> {
+        if data.len() < MIN_FILE_SIZE {
+            return None;
+        }
+        let features = reference_features(data);
+        let digest = build_digest(&features, data.len())?;
+        Some((
+            digest,
+            FeatureCache {
+                features,
+                input_len: data.len(),
+            },
+        ))
+    }
+
+    /// Content of one of eight shapes: random, text, constant runs,
+    /// period 2, period 3, equal-rank plateaus, rank-0 stretches, mixed.
+    fn shaped(kind: u8, len: usize, seed: u64) -> Vec<u8> {
+        let noise = random_bytes(len.max(64), seed);
+        let text = text_bytes(len);
+        let pick = |f: &dyn Fn(usize) -> u8| (0..len).map(f).collect::<Vec<u8>>();
+        match kind {
+            0 => noise[..len].to_vec(),
+            1 => text,
+            2 => pick(&|i| if (i / 300) % 2 == 0 { 0x20 } else { noise[i] }),
+            3 => pick(&|i| noise[i % 2]),
+            4 => pick(&|i| noise[i % 3]),
+            // One 64-byte unit over an 8-letter alphabet, repeated: every
+            // window holds the same bytes, so ranks tie everywhere except
+            // near the sparse perturbations.
+            5 => pick(&|i| {
+                if i % 397 == 0 {
+                    noise[i]
+                } else {
+                    b'a' + noise[i % 64] % 8
+                }
+            }),
+            // All-distinct windows (entropy at its maximum) and constant
+            // runs both rank 0; text between them does not.
+            6 => pick(&|i| match (i / 256) % 3 {
+                0 => i as u8,
+                1 => 0,
+                _ => text[i],
+            }),
+            _ => pick(&|i| match (i / 700) % 4 {
+                0 | 2 => text[i],
+                1 => noise[i],
+                _ => b'-',
+            }),
+        }
+    }
+
+    proptest::proptest! {
+        /// The kernel selects exactly the reference's features: over the
+        /// whole input, and over any region of window positions.
+        #[test]
+        fn kernel_matches_the_reference(
+            kind in 0u8..8,
+            len in proptest::prop_oneof![
+                proptest::prelude::Just(511usize),
+                proptest::prelude::Just(512usize),
+                proptest::prelude::Just(575usize),
+                proptest::prelude::Just(576usize),
+                577usize..6000,
+            ],
+            seed in proptest::prelude::any::<u64>(),
+            cuts in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                4,
+            ),
+        ) {
+            let data = shaped(kind, len, seed);
+            proptest::prop_assert_eq!(SdDigest::compute_with_cache(&data), reference_digest(&data));
+            if data.len() < MIN_FILE_SIZE {
+                return Ok(());
+            }
+            let all = reference_features(&data);
+            let windows = data.len() + 1 - FEATURE_SIZE;
+            for (a, b) in cuts {
+                let lo = a as usize % windows;
+                let hi = lo + 1 + b as usize % (windows - lo);
+                let mut region = Vec::new();
+                select_features(&data, lo, hi, &mut region);
+                let inside = |f: &&CachedFeature| (lo..hi).contains(&(f.pos as usize));
+                let expected: Vec<CachedFeature> = all.iter().filter(inside).copied().collect();
+                proptest::prop_assert!(region == expected, "region {}..{}", lo, hi);
+            }
+        }
+    }
+
+    /// The integer rank formula equals the float one at every window sum
+    /// in `0..=Smax`. Both are non-increasing step functions of the sum,
+    /// so agreeing on both sides of every step of the float formula makes
+    /// them agree everywhere.
+    #[test]
+    fn integer_rank_matches_the_float_formula_at_every_breakpoint() {
+        let float = |sum: u64| reference_scaled(sum as i64);
+        let mut checked = 0;
+        for v in 0..ENTROPY_SCALE {
+            // The smallest sum whose float-scaled entropy is at most v.
+            let (mut lo, mut hi) = (0u64, SUM_MAX);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if float(mid) <= v {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            for sum in [lo - 1, lo] {
+                assert_eq!(scaled_entropy(sum), float(sum), "sum {sum}");
+                checked += 1;
+            }
+        }
+        for sum in [0, SUM_MAX, SUM_MAX + 1] {
+            assert_eq!(scaled_entropy(sum), float(sum), "sum {sum}");
+        }
+        assert_eq!(scaled_entropy(0), ENTROPY_SCALE);
+        assert_eq!(scaled_entropy(SUM_MAX), 0);
+        assert_eq!(checked, 2 * ENTROPY_SCALE);
     }
 }
