@@ -801,7 +801,9 @@ pub fn paper_apps() -> Vec<Box<dyn BenignApp>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cryptodrop_vfs::{FilterDriver, FsOp, FsView, OpContext, OpOutcome, Verdict};
     use rand::SeedableRng;
+    use std::sync::{Arc, Mutex};
 
     fn docs_fixture() -> (Vfs, VPath) {
         let mut fs = Vfs::new();
@@ -897,12 +899,30 @@ mod tests {
             profile: Profile::OutsideDocuments,
         };
         let pid = fs.spawn_process(app.executable());
-        let before = fs.event_log().len();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        fs.register_filter(Box::new(PathRecorder(Arc::clone(&seen))));
         app.run(&mut fs, pid, &docs, &mut rng).unwrap();
-        let touched_docs = fs.event_log().events()[before..]
-            .iter()
-            .filter_map(|e| e.path())
-            .any(|p| p.starts_with(&docs));
-        assert!(!touched_docs);
+        let seen = seen.lock().unwrap();
+        assert!(!seen.is_empty(), "the profile ran operations");
+        let touched_docs = seen.iter().any(|p| p.starts_with(&docs));
+        assert!(!touched_docs, "the profile touched the documents");
+    }
+
+    /// Records every path a completed operation names.
+    struct PathRecorder(Arc<Mutex<Vec<VPath>>>);
+
+    impl FilterDriver for PathRecorder {
+        fn name(&self) -> &str {
+            "path-recorder"
+        }
+
+        fn post_op(&mut self, ctx: &OpContext<'_>, _: &OpOutcome<'_>, _: &FsView<'_>) -> Verdict {
+            let mut seen = self.0.lock().unwrap();
+            seen.push(ctx.op.path().clone());
+            if let FsOp::Rename { to, .. } = ctx.op {
+                seen.push(to.clone());
+            }
+            Verdict::Allow
+        }
     }
 }

@@ -30,6 +30,7 @@ use cryptodrop_vfs::{Vfs, Workload, WorkloadCtx};
 use serde::{Deserialize, Serialize};
 
 use crate::deception::real_fingerprints;
+use crate::parallel_map;
 use crate::report::{median, StudyReport, TextTable};
 
 /// One engine configuration of the ablation matrix.
@@ -421,7 +422,10 @@ pub fn run(baited: &Corpus, base: &Config, seeds: &[u64], threads: usize) -> Adv
                 .flat_map(move |m| seeds.iter().map(move |&s| (i, m, s)))
         })
         .collect();
-    let runs = run_matrix_parallel(baited, base, &strategies, &jobs, threads);
+    let runs = parallel_map(jobs.len(), threads, |j| {
+        let (i, mode, seed) = jobs[j];
+        run_strategy(baited, base, strategies[i].as_ref(), mode, seed)
+    });
     let benign = run_benign_matrix(baited, base);
 
     let mut cells = Vec::new();
@@ -461,54 +465,6 @@ pub fn run(baited: &Corpus, base: &Config, seeds: &[u64], threads: usize) -> Adv
         slowroll_sweep,
         decay_benign,
     }
-}
-
-/// Runs (strategy, mode, seed) jobs across worker threads, preserving
-/// job order.
-fn run_matrix_parallel(
-    baited: &Corpus,
-    base: &Config,
-    strategies: &[Box<dyn Workload + Send + Sync>],
-    jobs: &[(usize, IndicatorMode, u64)],
-    threads: usize,
-) -> Vec<AdversarialRun> {
-    parallel_map(jobs.len(), threads, |j| {
-        let (i, mode, seed) = jobs[j];
-        run_strategy(baited, base, strategies[i].as_ref(), mode, seed)
-    })
-}
-
-/// Evaluates `f(0..n)` across worker threads, preserving index order.
-/// Falls back to a sequential map for one thread or one job.
-fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if j >= n {
-                    break;
-                }
-                let r = f(j);
-                *slots[j].lock().expect("no poisoning: workers do not panic") = Some(r);
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("not poisoned").expect("all slots filled"))
-        .collect()
 }
 
 impl AdversarialStudy {

@@ -26,6 +26,7 @@ use cryptodrop_simhash::content_fingerprint;
 use cryptodrop_vfs::{VPath, Vfs, Workload, WorkloadCtx};
 use serde::{Deserialize, Serialize};
 
+use crate::parallel_map;
 use crate::report::{median, StudyReport, TextTable};
 
 /// Which layers of the active defense are armed.
@@ -251,7 +252,10 @@ pub fn run(
     let jobs: Vec<(usize, DefenseMode)> = (0..samples.len())
         .flat_map(|i| DefenseMode::ALL.map(|m| (i, m)))
         .collect();
-    let runs = run_defended_parallel(baited, base, samples, &jobs, threads);
+    let runs = parallel_map(jobs.len(), threads, |j| {
+        let (i, mode) = jobs[j];
+        run_sample_defended(baited, base, &samples[i], mode)
+    });
 
     let mut rows = Vec::new();
     let mut families: Vec<&str> = runs.iter().map(|r| r.family.as_str()).collect();
@@ -292,44 +296,6 @@ pub fn run(
         benign,
         benign_false_positives,
     }
-}
-
-/// Runs (sample, mode) jobs across worker threads, preserving job order.
-fn run_defended_parallel(
-    baited: &Corpus,
-    base: &Config,
-    samples: &[RansomwareSample],
-    jobs: &[(usize, DefenseMode)],
-    threads: usize,
-) -> Vec<DeceptionRun> {
-    let threads = threads.max(1);
-    if threads == 1 || jobs.len() <= 1 {
-        return jobs
-            .iter()
-            .map(|&(i, mode)| run_sample_defended(baited, base, &samples[i], mode))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<DeceptionRun>>> =
-        jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if j >= jobs.len() {
-                    break;
-                }
-                let (i, mode) = jobs[j];
-                let r = run_sample_defended(baited, base, &samples[i], mode);
-                *slots[j].lock().expect("no poisoning: workers do not panic") = Some(r);
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("not poisoned").expect("all slots filled"))
-        .collect()
 }
 
 impl DeceptionStudy {

@@ -10,8 +10,10 @@
 use cryptodrop::{Config, CryptoDrop};
 use cryptodrop_corpus::Corpus;
 use cryptodrop_malware::{paper_sample_set, BehaviorClass, Family};
-use cryptodrop_vfs::{EventDetail, Vfs, VPath};
+use cryptodrop_vfs::{VPath, Vfs};
 use serde::{Deserialize, Serialize};
+
+use crate::runner::TraceRecorder;
 
 /// One representative sample's traversal footprint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,30 +77,22 @@ pub fn run(corpus: &Corpus, config: &Config, families: &[Family]) -> Fig4 {
             .build()
             .expect("experiment configs are valid");
         fs.register_filter(Box::new(session.fork()));
-        let ctx =
-            cryptodrop_vfs::WorkloadCtx::spawn(&mut fs, sample, corpus.root(), sample.seed());
+        let root = corpus.root();
+        let recorder = TraceRecorder::attach(&mut fs, root);
+        let ctx = cryptodrop_vfs::WorkloadCtx::spawn(&mut fs, sample, root, sample.seed());
         let pid = ctx.pid();
         cryptodrop_vfs::Workload::drive(sample, &mut fs, &ctx);
 
-        let root = corpus.root();
-        let mut touch_order: Vec<String> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for e in fs.event_log().events() {
-            if let EventDetail::Read { path, .. } | EventDetail::Write { path, .. } = &e.detail {
-                if !path.starts_with(root) {
-                    continue;
-                }
-                if let Some(dir) = path.parent() {
-                    if seen.insert(dir.clone()) {
-                        touch_order.push(
-                            dir.strip_prefix(root)
-                                .map(|s| if s.is_empty() { ".".to_string() } else { s.to_string() })
-                                .unwrap_or_else(|| dir.as_str().to_string()),
-                        );
-                    }
-                }
-            }
-        }
+        let touch_order: Vec<String> = recorder
+            .take()
+            .dirs
+            .iter()
+            .map(|dir| match dir.strip_prefix(root) {
+                Some("") => ".".to_string(),
+                Some(rel) => rel.to_string(),
+                None => dir.as_str().to_string(),
+            })
+            .collect();
         let touch_depths: Vec<usize> = touch_order
             .iter()
             .map(|rel| {

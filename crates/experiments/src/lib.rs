@@ -125,6 +125,42 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Evaluates `f(0..n)` across `threads` worker threads, preserving index
+/// order. Falls back to a sequential map for one thread or one job.
+pub(crate) fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Vec<std::sync::Mutex<Option<T>>> =
+        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|_| loop {
+                let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if j >= n {
+                    break;
+                }
+                let r = f(j);
+                *slots[j].lock().expect("no poisoning: workers do not panic") = Some(r);
+            });
+        }
+    })
+    .expect("worker threads do not panic");
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("not poisoned")
+                .expect("all slots filled")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

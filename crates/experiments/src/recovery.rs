@@ -20,6 +20,7 @@ use cryptodrop_simhash::content_fingerprint;
 use cryptodrop_vfs::{VPath, Vfs, Workload, WorkloadCtx};
 use serde::{Deserialize, Serialize};
 
+use crate::parallel_map;
 use crate::report::{median, StudyReport, TextTable};
 
 /// One sample replayed with recovery armed.
@@ -161,7 +162,9 @@ pub fn run(
                 },
                 ..base.clone()
             };
-            let runs = run_recovered_parallel(corpus, &config, shadow, samples, threads);
+            let runs = parallel_map(samples.len(), threads, |i| {
+                run_sample_recovered(corpus, &config, shadow.clone(), &samples[i])
+            });
             let detected: Vec<&RecoveryRun> = runs.iter().filter(|r| r.detected).collect();
             let losses: Vec<u32> = detected.iter().map(|r| r.files_lost).collect();
             let restored: Vec<u32> =
@@ -184,44 +187,6 @@ pub fn run(
         points,
         byte_budget: shadow.byte_budget,
     }
-}
-
-/// Runs the recovery replay for many samples in parallel, preserving input
-/// order.
-fn run_recovered_parallel(
-    corpus: &Corpus,
-    config: &Config,
-    shadow: &ShadowConfig,
-    samples: &[RansomwareSample],
-    threads: usize,
-) -> Vec<RecoveryRun> {
-    let threads = threads.max(1);
-    if threads == 1 || samples.len() <= 1 {
-        return samples
-            .iter()
-            .map(|s| run_sample_recovered(corpus, config, shadow.clone(), s))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<RecoveryRun>>> =
-        samples.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= samples.len() {
-                    break;
-                }
-                let r = run_sample_recovered(corpus, config, shadow.clone(), &samples[i]);
-                *slots[i].lock().expect("no poisoning: workers do not panic") = Some(r);
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("not poisoned").expect("all slots filled"))
-        .collect()
 }
 
 impl RecoveryStudy {

@@ -1,12 +1,16 @@
 //! Experiment execution: one fresh machine per sample, exactly as the
 //! paper reverted its VM to a snapshot between samples (§V-A).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::{Arc, Mutex};
 
 use cryptodrop::{Config, CryptoDrop, Telemetry};
 use cryptodrop_corpus::Corpus;
 use cryptodrop_malware::{BehaviorClass, RansomwareSample};
-use cryptodrop_vfs::{EventDetail, FileId, Vfs, VPath, Workload, WorkloadCtx, WorkloadOutcome};
+use cryptodrop_vfs::{
+    FilterDriver, FsOp, FsView, OpContext, OpOutcome, VPath, Verdict, Vfs, Workload, WorkloadCtx,
+    WorkloadOutcome,
+};
 use serde::{Deserialize, Serialize};
 
 /// The result of running one ransomware sample against a fresh corpus.
@@ -72,6 +76,7 @@ pub fn run_sample_with_telemetry(
         .expect("experiment configs are valid");
     let monitor = session.monitor();
     fs.register_filter(Box::new(session.fork()));
+    let recorder = TraceRecorder::attach(&mut fs, corpus.root());
     let ctx = WorkloadCtx::spawn(&mut fs, sample, corpus.root(), sample.seed());
     let pid = ctx.pid();
 
@@ -79,7 +84,7 @@ pub fn run_sample_with_telemetry(
     let detected = fs.is_suspended(pid);
     let summary = monitor.summary(pid);
     let report = monitor.detection_for(pid);
-    let (extensions_accessed, dirs_touched) = trace_stats(&fs, corpus.root());
+    let trace = recorder.take();
 
     let result = SampleResult {
         id: sample.id,
@@ -96,45 +101,85 @@ pub fn run_sample_with_telemetry(
         read_only_skipped: outcome.read_only_skipped,
         completed: outcome.completed,
         files_attacked: outcome.files_touched,
-        extensions_accessed,
-        dirs_touched,
+        extensions_accessed: trace.extensions,
+        dirs_touched: trace.dirs.iter().map(|d| d.as_str().to_string()).collect(),
     };
     let harvest = crate::telemetry::RunTelemetry::collect(&telemetry, &monitor, pid);
     (result, harvest)
 }
 
-/// Extracts the Fig. 4 / Fig. 5 statistics from the event trace: the
-/// extensions of pre-existing files accessed, and the directories where a
-/// file was read or written.
-fn trace_stats(fs: &Vfs, root: &VPath) -> (BTreeSet<String>, BTreeSet<String>) {
-    let mut created: std::collections::HashSet<FileId> = std::collections::HashSet::new();
-    let mut exts = BTreeSet::new();
-    let mut dirs = BTreeSet::new();
-    for e in fs.event_log().events() {
-        match &e.detail {
-            EventDetail::Open { file, created: c, .. } => {
-                if *c {
-                    created.insert(*file);
-                }
-                // Extension tracking keys on opens of pre-existing files.
-                if let Some(path) = e.path() {
-                    if path.starts_with(root) && !c {
-                        if let Some(ext) = path.extension() {
-                            exts.insert(ext);
-                        }
+/// What a run touched under the corpus root: the Fig. 4 and Fig. 5
+/// inputs.
+#[derive(Debug, Default)]
+pub(crate) struct Trace {
+    /// Extensions of the pre-existing files opened (Fig. 5).
+    pub(crate) extensions: BTreeSet<String>,
+    /// Directories in which a file was read or written, in first-touch
+    /// order (Fig. 4).
+    pub(crate) dirs: Vec<VPath>,
+    seen: HashSet<VPath>,
+}
+
+/// A filter registered beside the engine that records a run's [`Trace`]
+/// from its post-operation callback. The VFS calls every filter's
+/// `post_op` on every completed operation, the one that suspends the
+/// process included, so the trace covers every open, read and write
+/// that completed before detection.
+#[derive(Clone)]
+pub(crate) struct TraceRecorder {
+    root: VPath,
+    trace: Arc<Mutex<Trace>>,
+}
+
+impl TraceRecorder {
+    /// Registers a recorder of operations under `root` at the end of
+    /// `fs`'s filter stack, returning a handle onto its trace.
+    pub(crate) fn attach(fs: &mut Vfs, root: &VPath) -> Self {
+        let recorder = TraceRecorder {
+            root: root.clone(),
+            trace: Arc::default(),
+        };
+        fs.register_filter(Box::new(recorder.clone()));
+        recorder
+    }
+
+    /// Takes the trace recorded so far.
+    pub(crate) fn take(&self) -> Trace {
+        std::mem::take(&mut self.trace.lock().expect("the recorder does not panic"))
+    }
+}
+
+impl FilterDriver for TraceRecorder {
+    fn name(&self) -> &str {
+        "trace-recorder"
+    }
+
+    fn post_op(
+        &mut self,
+        ctx: &OpContext<'_>,
+        outcome: &OpOutcome<'_>,
+        _fs: &FsView<'_>,
+    ) -> Verdict {
+        let mut trace = self.trace.lock().expect("the recorder does not panic");
+        match (ctx.op, outcome) {
+            (FsOp::Open { path, .. }, OpOutcome::Open { created: false, .. })
+                if path.starts_with(&self.root) =>
+            {
+                trace.extensions.extend(path.extension());
+            }
+            (FsOp::Read { path, .. } | FsOp::Write { path, .. }, _)
+                if path.starts_with(&self.root) =>
+            {
+                if let Some(dir) = path.parent() {
+                    if trace.seen.insert(dir.clone()) {
+                        trace.dirs.push(dir);
                     }
                 }
             }
-            EventDetail::Read { path, .. } | EventDetail::Write { path, .. }
-                if path.starts_with(root) => {
-                    if let Some(dir) = path.parent() {
-                        dirs.insert(dir.as_str().to_string());
-                    }
-                }
             _ => {}
         }
+        Verdict::Allow
     }
-    (exts, dirs)
 }
 
 /// The result of one benign application run.
@@ -259,31 +304,9 @@ pub fn run_samples_parallel(
     samples: &[RansomwareSample],
     threads: usize,
 ) -> Vec<SampleResult> {
-    let threads = threads.max(1);
-    if threads == 1 || samples.len() <= 1 {
-        return samples.iter().map(|s| run_sample(corpus, config, s)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<Option<SampleResult>> = vec![None; samples.len()];
-    let slots: Vec<std::sync::Mutex<Option<SampleResult>>> =
-        results.iter_mut().map(|_| std::sync::Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= samples.len() {
-                    break;
-                }
-                let r = run_sample(corpus, config, &samples[i]);
-                *slots[i].lock().expect("no poisoning: workers do not panic") = Some(r);
-            });
-        }
+    crate::parallel_map(samples.len(), threads, |i| {
+        run_sample(corpus, config, &samples[i])
     })
-    .expect("worker threads do not panic");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("not poisoned").expect("all slots filled"))
-        .collect()
 }
 
 #[cfg(test)]

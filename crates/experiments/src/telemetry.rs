@@ -4,7 +4,9 @@
 //! not just issuing it. This module runs representative samples with the
 //! full telemetry stack armed — shared metric registry, event journal, and
 //! per-process audit trail — and condenses the result into a serializable
-//! [`TelemetryStudy`] (`results/telemetry.json` from `run-all`).
+//! [`TelemetryStudy`] (`results/telemetry.json` from `run-all`). The
+//! runner's Fig. 4/5 trace recorder is a filter beside the engine, so the
+//! journal also holds its `FilterPre`/`FilterPost` events.
 //!
 //! A paired regression test proves the instrumentation is *inert*: a
 //! sample's [`SampleResult`] is byte-identical with telemetry enabled and

@@ -19,9 +19,6 @@
 //! * [`ProcessTable`] — simulated processes, including family suspension.
 //! * [`SimClock`] / [`LatencyLedger`] — deterministic timestamps and
 //!   filter-overhead accounting for the paper's §V-H performance table.
-//! * [`EventLog`] — a compact trace of completed operations, used by the
-//!   evaluation harness to reconstruct traversal footprints (Fig. 4) and
-//!   extension access frequencies (Fig. 5).
 //!
 //! # Example
 //!
@@ -54,7 +51,6 @@ mod clock;
 pub mod content;
 pub mod dirty;
 mod error;
-mod events;
 pub mod faults;
 mod filter;
 mod fs;
@@ -71,7 +67,6 @@ pub use content::{BlobStore, MemoSlot, SharedContent};
 pub use dirty::{content_stamp, DirtyExtent, DirtyReport, MAX_DIRTY_EXTENTS};
 pub use error::{ErrorKind, VfsError, VfsResult};
 pub use faults::{FaultInjector, FaultPlan, FaultStats};
-pub use events::{Event, EventDetail, EventLog};
 pub use filter::{FilterDriver, FsView, Verdict};
 pub use fs::{AdminView, Handle, Vfs};
 pub use node::{Content, DirEntry, EntryKind, FileId, FileNode, Metadata};

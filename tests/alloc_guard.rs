@@ -68,9 +68,6 @@ fn steady_state_filtered_modify_cycle_allocates_nothing() {
 
     let mut fs = Vfs::new();
     corpus.stage_into(&mut fs).expect("staging succeeds");
-    // The trace log retains an event per operation — real allocation,
-    // but evaluation-harness bookkeeping, not filter cost.
-    fs.event_log_mut().set_enabled(false);
     fs.register_filter(Box::new(session.fork()));
     let pid = fs.spawn_process("editor.exe");
 

@@ -18,9 +18,9 @@ use cryptodrop::prelude::{
 };
 #[allow(unused_imports)]
 use cryptodrop_vfs::{
-    drive_workload, AdminView, ClockHandle, ClockPolicy, DirEntry, EntryKind, EventDetail,
-    EventLog, FaultPlan, FileId, FilterDriver, FsView, MemoSlot, Metadata, OpContext, OpKind,
-    OpOutcome, OpenOptions, SharedContent, SimClock, Workload, WorkloadCtx, WorkloadOutcome,
+    drive_workload, AdminView, ClockHandle, ClockPolicy, DirEntry, EntryKind, FaultPlan, FileId,
+    FilterDriver, FsView, MemoSlot, Metadata, OpContext, OpKind, OpOutcome, OpenOptions,
+    SharedContent, SimClock, Workload, WorkloadCtx, WorkloadOutcome,
 };
 #[allow(unused_imports)]
 use cryptodrop_adversarial::{

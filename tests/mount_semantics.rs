@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use cryptodrop_telemetry::Telemetry;
 use cryptodrop_vfs::{
     ErrorKind, FilterDriver, FsView, MemProvider, MountOptions, OpContext, OpenOptions,
     ProcessId, VPath, Verdict, Vfs,
@@ -133,9 +134,10 @@ fn read_only_mount_rejects_destructive_ops_before_filters() {
 
     let seen = Arc::new(AtomicUsize::new(0));
     fs.register_filter(Box::new(CountingFilter(seen.clone())));
+    let telemetry = Telemetry::new(1 << 10);
+    fs.set_telemetry(telemetry.clone());
     let pid = fs.spawn_process("scribbler.exe");
 
-    let events_before = fs.event_log().events().len();
     let ledger = p("/archive/ledger.txt");
     type Attempt = Box<dyn Fn(&mut Vfs) -> ErrorKind>;
     let destructive: Vec<(&str, Attempt)> = vec![
@@ -170,13 +172,14 @@ fn read_only_mount_rejects_destructive_ops_before_filters() {
         "filters never observe operations a read-only mount refused"
     );
     assert_eq!(
-        fs.event_log().events().len(),
-        events_before,
+        telemetry.journal().total_pushed(),
+        0,
         "the journal never records refused operations"
     );
-    // Reads still flow (and do traverse the filter chain).
+    // Reads still flow (and do traverse the filter chain and the journal).
     assert_eq!(fs.read_file(pid, &ledger).unwrap(), b"immutable");
     assert!(seen.load(Ordering::Relaxed) > 0);
+    assert!(telemetry.journal().total_pushed() > 0);
 }
 
 #[test]
