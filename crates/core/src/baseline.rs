@@ -127,7 +127,7 @@ impl FilterDriver for IntegrityMonitor {
     fn post_op(&mut self, ctx: &OpContext<'_>, outcome: &OpOutcome<'_>, fs: &FsView<'_>) -> Verdict {
         let (path, file) = match (ctx.op, outcome) {
             (FsOp::Close { path, modified: true }, OpOutcome::Close { file, .. }) => (path, *file),
-            (FsOp::Delete { path }, OpOutcome::Delete { file }) => (path, *file),
+            (FsOp::Delete { path }, OpOutcome::Delete { file, .. }) => (path, *file),
             _ => return Verdict::Allow,
         };
         if !path.starts_with(&self.protected) {

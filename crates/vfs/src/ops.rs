@@ -244,6 +244,9 @@ pub enum OpOutcome<'a> {
     Delete {
         /// The deleted file's stable id.
         file: FileId,
+        /// Whether the deleted path was the file's last link. `false` when
+        /// another hard link still reaches the file.
+        last_link: bool,
     },
     /// A file was renamed or moved.
     Rename {
@@ -251,6 +254,10 @@ pub enum OpOutcome<'a> {
         file: FileId,
         /// The id of a destination file that was replaced, if any.
         replaced: Option<FileId>,
+        /// Whether the replaced destination was that file's last link
+        /// (`false` when another hard link still reaches it, or when
+        /// nothing was replaced).
+        replaced_last_link: bool,
     },
     /// A directory was listed.
     ReadDir {
@@ -273,7 +280,7 @@ impl OpOutcome<'_> {
             | OpOutcome::Write { file, .. }
             | OpOutcome::Truncate { file }
             | OpOutcome::Close { file, .. }
-            | OpOutcome::Delete { file }
+            | OpOutcome::Delete { file, .. }
             | OpOutcome::Rename { file, .. } => Some(*file),
             OpOutcome::ReadDir { .. } | OpOutcome::SetAttr => None,
         }
