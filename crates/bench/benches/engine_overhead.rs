@@ -12,18 +12,19 @@ use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use cryptodrop::{CacheStats, CryptoDrop};
-use cryptodrop_bench::{bench_config, bench_corpus};
+use cryptodrop_bench::{bench_config, bench_corpus, modify_cycle};
 use cryptodrop_corpus::Corpus;
 use cryptodrop_experiments::perf;
 use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
 
-/// One read-modify-write-close cycle over up to 20 corpus documents.
-/// Writes back the bytes it read — the steady-state editor-save workload
-/// the engine's snapshot cache is built for. With `churn`, one byte is
-/// toggled per save so every close carries changed content and the
-/// zero-recompute path never engages (the pre-cache engine paid this full
-/// analysis cost on *every* save, changed or not).
-fn modify_cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus, churn: bool, round: u32) {
+/// [`modify_cycle`], or with `churn` its cache-defeating flavor: one
+/// byte is toggled per save so every close carries changed content and
+/// the zero-recompute path never engages (the pre-cache engine paid this
+/// full analysis cost on *every* save, changed or not).
+fn cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus, churn: bool, round: u32) {
+    if !churn {
+        return modify_cycle(fs, pid, corpus);
+    }
     for f in corpus.files().iter().take(20) {
         if f.read_only {
             continue;
@@ -32,7 +33,7 @@ fn modify_cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus, churn: bool, roun
             continue;
         };
         let mut data = fs.read_to_end(pid, h).unwrap_or_default();
-        if churn && !data.is_empty() {
+        if !data.is_empty() {
             // A one-byte mid-file edit: changes the content stamp without
             // touching the magic bytes or similarity, so no indicator
             // fires but every close recomputes.
@@ -80,7 +81,7 @@ fn bench(c: &mut Criterion) {
                     (fs, pid)
                 },
                 |(mut fs, pid)| {
-                    modify_cycle(&mut fs, pid, &corpus, false, 0);
+                    modify_cycle(&mut fs, pid, &corpus);
                     fs
                 },
                 criterion::BatchSize::LargeInput,
@@ -105,7 +106,7 @@ fn measure_cycle_ns(corpus: &Corpus, filtered: bool, churn: bool, iters: u32) ->
         fs.register_filter(Box::new(session.fork()));
     }
     let pid = fs.spawn_process("bench.exe");
-    modify_cycle(&mut fs, pid, corpus, churn, 0); // warm-up
+    cycle(&mut fs, pid, corpus, churn, 0); // warm-up
     // Five timed blocks, keeping the fastest: contention on a shared
     // machine only ever inflates a block, so the minimum is the closest
     // estimate of the true steady-state cost.
@@ -113,7 +114,7 @@ fn measure_cycle_ns(corpus: &Corpus, filtered: bool, churn: bool, iters: u32) ->
     for rep in 0..5u32 {
         let started = Instant::now();
         for round in 1..=iters {
-            modify_cycle(&mut fs, pid, corpus, churn, rep * iters + round);
+            cycle(&mut fs, pid, corpus, churn, rep * iters + round);
         }
         best = best.min(started.elapsed().as_nanos() as f64 / f64::from(iters.max(1)));
     }
@@ -143,10 +144,10 @@ fn measure_eviction_pressure(corpus: &Corpus, iters: u32) -> (f64, CacheStats) {
     let mut fs = staged_vfs(corpus, 0);
     fs.register_filter(Box::new(session.fork()));
     let pid = fs.spawn_process("bench.exe");
-    modify_cycle(&mut fs, pid, corpus, false, 0); // warm-up
+    modify_cycle(&mut fs, pid, corpus); // warm-up
     let started = Instant::now();
-    for round in 1..=iters {
-        modify_cycle(&mut fs, pid, corpus, false, round);
+    for _ in 1..=iters {
+        modify_cycle(&mut fs, pid, corpus);
     }
     let secs = started.elapsed().as_secs_f64();
     (f64::from(iters.max(1)) / secs.max(1e-9), session.cache_stats())
@@ -173,8 +174,8 @@ fn measure_throughput(corpus: &Corpus, threads: u32, iters: u32) -> (f64, CacheS
                 fs.register_filter(Box::new(engine));
                 let pid = fs.spawn_process(format!("writer{t}.exe"));
                 barrier.wait();
-                for round in 0..iters {
-                    modify_cycle(&mut fs, pid, corpus, false, round);
+                for _ in 0..iters {
+                    modify_cycle(&mut fs, pid, corpus);
                 }
             });
         }

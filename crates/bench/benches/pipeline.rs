@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use cryptodrop::{CryptoDrop, PipelineConfig, PipelineStats, Session};
-use cryptodrop_bench::bench_corpus;
+use cryptodrop_bench::{bench_corpus, modify_cycle};
 use cryptodrop_corpus::Corpus;
 use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
 
@@ -59,23 +59,6 @@ fn build_session(corpus: &Corpus, mode: Mode) -> Session {
         builder = builder.pipeline_config(pipeline);
     }
     builder.build().expect("valid config")
-}
-
-/// One read-modify-write-close cycle over up to 20 corpus documents —
-/// the same steady-state editor-save workload as `engine_overhead`.
-fn modify_cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus) {
-    for f in corpus.files().iter().take(20) {
-        if f.read_only {
-            continue;
-        }
-        let Ok(h) = fs.open(pid, &f.path, OpenOptions::modify()) else {
-            continue;
-        };
-        let data = fs.read_to_end(pid, h).unwrap_or_default();
-        let _ = fs.seek(pid, h, 0);
-        let _ = fs.write(pid, h, &data);
-        let _ = fs.close(pid, h);
-    }
 }
 
 /// The burst flavor of the cycle: every save flips one byte at a

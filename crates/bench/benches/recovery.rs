@@ -22,10 +22,10 @@ use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use cryptodrop::{CryptoDrop, Session, ShadowConfig, ShadowStats};
-use cryptodrop_bench::bench_corpus;
+use cryptodrop_bench::{bench_corpus, modify_cycle};
 use cryptodrop_corpus::Corpus;
 use cryptodrop_malware::{paper_sample_set, Family};
-use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
+use cryptodrop_vfs::Vfs;
 
 fn build_session(corpus: &Corpus, shadowed: bool) -> Session {
     let mut builder = CryptoDrop::builder().protecting(corpus.root().as_str());
@@ -39,24 +39,6 @@ fn staged_vfs(corpus: &Corpus) -> Vfs {
     let mut fs = Vfs::new();
     corpus.stage_into(&mut fs).unwrap();
     fs
-}
-
-/// One read-modify-write-close cycle over up to 20 corpus documents —
-/// the same steady-state editor-save workload as `engine_overhead`, so
-/// the shadowed/bare delta isolates the capture cost.
-fn modify_cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus) {
-    for f in corpus.files().iter().take(20) {
-        if f.read_only {
-            continue;
-        }
-        let Ok(h) = fs.open(pid, &f.path, OpenOptions::modify()) else {
-            continue;
-        };
-        let data = fs.read_to_end(pid, h).unwrap_or_default();
-        let _ = fs.seek(pid, h, 0);
-        let _ = fs.write(pid, h, &data);
-        let _ = fs.close(pid, h);
-    }
 }
 
 fn bench(c: &mut Criterion) {

@@ -3,7 +3,7 @@
 //!
 //! Three views:
 //!
-//! 1. **End-to-end cycles** — the `engine_overhead` modify cycle run
+//! 1. **End-to-end cycles** — the shared `modify_cycle` run
 //!    unfiltered, filtered with the default *disabled* telemetry sink, and
 //!    filtered with an *enabled* sink shared between the VFS and engine.
 //!    The disabled/enabled ratio is the price of observability.
@@ -21,20 +21,20 @@ use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use cryptodrop::{CryptoDrop, Telemetry};
-use cryptodrop_bench::bench_corpus;
+use cryptodrop_bench::{bench_corpus, modify_cycle};
 use cryptodrop_corpus::Corpus;
 use cryptodrop_telemetry::JournalKind;
-use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
+use cryptodrop_vfs::{ProcessId, Vfs};
 
 /// How the system under test is instrumented.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// No filter registered at all.
     Unfiltered,
-    /// The engine's default: a disabled telemetry sink (every probe is one
-    /// relaxed load + branch).
+    /// The engine's default: a disabled telemetry sink (counters record;
+    /// every timer and journal probe is one relaxed load + branch).
     FilteredDisabled,
-    /// An enabled sink shared by the VFS and the engine: metrics,
+    /// An enabled sink shared by the VFS and the engine: counters,
     /// journal, and eval timers all live.
     FilteredEnabled,
 }
@@ -46,23 +46,6 @@ impl Mode {
             Mode::FilteredDisabled => "filtered_disabled",
             Mode::FilteredEnabled => "filtered_enabled",
         }
-    }
-}
-
-/// One read-modify-write-close cycle over up to 20 corpus documents —
-/// the same steady-state editor-save workload as `engine_overhead`.
-fn modify_cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus) {
-    for f in corpus.files().iter().take(20) {
-        if f.read_only {
-            continue;
-        }
-        let Ok(h) = fs.open(pid, &f.path, OpenOptions::modify()) else {
-            continue;
-        };
-        let data = fs.read_to_end(pid, h).unwrap_or_default();
-        let _ = fs.seek(pid, h, 0);
-        let _ = fs.write(pid, h, &data);
-        let _ = fs.close(pid, h);
     }
 }
 

@@ -29,204 +29,12 @@
 //! one file are reported but never fail the gate, so adding or removing
 //! bench sections does not break CI.
 //!
-//! The vendored `serde_json` stub only serializes, so this tool carries
-//! its own minimal JSON reader — sufficient for the machine-written
-//! artifacts it consumes.
+//! The vendored `serde_json` stub only serializes, so this tool reads the
+//! artifacts with the admin plane's JSON parser, [`parse`].
 
 use std::process::ExitCode;
 
-/// A parsed JSON value (only what the bench artifacts need).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.error("unexpected character")),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            entries.push((key, self.parse_value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(entries));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("truncated escape"))?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'u' => {
-                            // The artifacts are ASCII; skip the 4 hex
-                            // digits and substitute.
-                            self.pos += 4.min(self.bytes.len() - self.pos);
-                            '\u{FFFD}'
-                        }
-                        other => other as char,
-                    });
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.error("invalid utf-8"))?,
-                    );
-                }
-                None => return Err(self.error("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.error("invalid number"))
-    }
-}
-
-fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing content"));
-    }
-    Ok(v)
-}
+use cryptodrop_fleet::rpc::{parse, Value};
 
 /// Whether a numeric field is a gated higher-is-better metric.
 fn gated_key(key: &str) -> bool {
@@ -237,16 +45,16 @@ fn gated_key(key: &str) -> bool {
 /// rendered like `multi_process_throughput[2].cycles_per_sec`, plus a
 /// derived `degrade_vs_inline` ratio wherever an object reports both
 /// inline and degrade throughput.
-fn throughput_metrics(value: &Json, path: &str, out: &mut Vec<(String, f64)>) {
+fn throughput_metrics(value: &Value, path: &str, out: &mut Vec<(String, f64)>) {
     match value {
-        Json::Obj(entries) => {
+        Value::Obj(entries) => {
             for (key, val) in entries {
                 let child = if path.is_empty() {
                     key.clone()
                 } else {
                     format!("{path}.{key}")
                 };
-                if let Json::Num(n) = val {
+                if let Value::Num(n) = val {
                     if gated_key(key) {
                         out.push((child, *n));
                         continue;
@@ -256,7 +64,7 @@ fn throughput_metrics(value: &Json, path: &str, out: &mut Vec<(String, f64)>) {
             }
             let field = |name: &str| {
                 entries.iter().find_map(|(k, v)| match v {
-                    Json::Num(n) if k == name => Some(*n),
+                    Value::Num(n) if k == name => Some(*n),
                     _ => None,
                 })
             };
@@ -274,7 +82,7 @@ fn throughput_metrics(value: &Json, path: &str, out: &mut Vec<(String, f64)>) {
                 }
             }
         }
-        Json::Arr(items) => {
+        Value::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 throughput_metrics(item, &format!("{path}[{i}]"), out);
             }
@@ -291,7 +99,7 @@ enum Outcome {
     OnlyCurrent,
 }
 
-fn compare(baseline: &Json, current: &Json, max_regression: f64) -> Vec<(String, Outcome)> {
+fn compare(baseline: &Value, current: &Value, max_regression: f64) -> Vec<(String, Outcome)> {
     let mut base = Vec::new();
     throughput_metrics(baseline, "", &mut base);
     let mut cur = Vec::new();

@@ -11,6 +11,7 @@
 use cryptodrop::Config;
 use cryptodrop_corpus::{Corpus, CorpusSpec};
 use cryptodrop_malware::{paper_sample_set, RansomwareSample};
+use cryptodrop_vfs::{OpenOptions, ProcessId, Vfs};
 
 /// The corpus size used by the benchmark suite: large enough for the
 /// detection dynamics (small-file tail, type diversity, deep tree) while
@@ -22,6 +23,25 @@ pub fn bench_corpus() -> Corpus {
 /// The engine configuration matching [`bench_corpus`].
 pub fn bench_config(corpus: &Corpus) -> Config {
     Config::protecting(corpus.root().as_str())
+}
+
+/// One read-modify-write-close cycle over up to 20 corpus documents,
+/// writing back the bytes it read: the steady-state editor save the
+/// engine's snapshot cache is built for, shared by every bench that
+/// times it.
+pub fn modify_cycle(fs: &mut Vfs, pid: ProcessId, corpus: &Corpus) {
+    for f in corpus.files().iter().take(20) {
+        if f.read_only {
+            continue;
+        }
+        let Ok(h) = fs.open(pid, &f.path, OpenOptions::modify()) else {
+            continue;
+        };
+        let data = fs.read_to_end(pid, h).unwrap_or_default();
+        let _ = fs.seek(pid, h, 0);
+        let _ = fs.write(pid, h, &data);
+        let _ = fs.close(pid, h);
+    }
 }
 
 /// One representative sample per (family, class) — 25 samples covering

@@ -201,11 +201,6 @@ pub struct Config {
     pub track_moved_files: bool,
     /// Enable union indication (disabled only by the ablation benchmarks).
     pub union_enabled: bool,
-    /// Attribute operations to the issuing process's top-level ancestor,
-    /// so a sample that fans work out across child processes is scored
-    /// (and suspended) as one family — the paper's "suspends the
-    /// suspicious process (or family of processes)" (§IV).
-    pub aggregate_process_families: bool,
     /// Dynamic scoring (future work in the paper, §V-C): when the
     /// similarity indicator is structurally unavailable for a file (no
     /// pre-image digest), the type-change points for that file are
@@ -298,7 +293,6 @@ impl Config {
             score: ScoreConfig::default(),
             track_moved_files: true,
             union_enabled: true,
-            aggregate_process_families: true,
             dynamic_scoring: false,
             max_digest_bytes: 256 * 1024,
             snapshot_cache_capacity: 1 << 16,

@@ -1,6 +1,6 @@
 //! The snapshot cache: the previous-version [`FileSnapshot`]s the content
 //! indicators compare against, behind one [`SnapshotCache`] that owns the
-//! path and file shards, the LRU clock, the hit/miss/eviction counters
+//! path and file shards, the LRU clock, the `engine.cache.*` counters
 //! and the per-shard capacities. See `DESIGN.md` ("Engine concurrency &
 //! caching") for the shard layout and the cache invariants.
 
@@ -8,6 +8,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cryptodrop_telemetry::{Counter, MetricsSnapshot, Telemetry};
 use cryptodrop_vfs::{content_stamp, FileId, MemoSlot, ProcessId, VPath};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -37,25 +38,41 @@ pub(super) fn debug_assert_reference(snap: &FileSnapshot, data: &[u8], max_diges
 }
 
 /// Snapshot-cache effectiveness counters, exposed via
-/// [`Monitor::cache_stats`](super::Monitor::cache_stats).
+/// [`Monitor::cache_stats`](super::Monitor::cache_stats): a typed view of
+/// the `engine.cache.*` counters plus the live occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Snapshot refreshes, closes and Class C links satisfied by an
     /// unchanged content stamp, or by a staged-content memo (no
-    /// sniff/digest/entropy recompute).
+    /// sniff/digest/entropy recompute). `engine.cache.hits`.
     pub hits: u64,
     /// Snapshot refreshes that had to recompute (content changed, or no
-    /// prior snapshot existed).
+    /// prior snapshot existed). `engine.cache.misses`.
     pub misses: u64,
     /// Path-keyed snapshots evicted to honour
     /// [`Config::snapshot_cache_capacity`] (or, for pinned post-delete
     /// snapshots, [`Config::pinned_snapshot_budget`]).
+    /// `engine.cache.evictions`.
     pub evictions: u64,
     /// Path-keyed snapshots currently resident.
     pub resident: u64,
     /// Resident snapshots that are pinned (post-delete retentions,
     /// excluded from the LRU cap).
     pub pinned: u64,
+}
+
+impl CacheStats {
+    /// The event counts in `metrics` — one registry's, or a fleet
+    /// rollup's — with zero occupancy, which only a live cache knows.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        Self {
+            hits: metrics.counter("engine.cache.hits"),
+            misses: metrics.counter("engine.cache.misses"),
+            evictions: metrics.counter("engine.cache.evictions"),
+            resident: 0,
+            pinned: 0,
+        }
+    }
 }
 
 /// Shard fan-out. 16 shards keeps the fixed arrays tiny while making
@@ -261,9 +278,9 @@ pub(super) struct SnapshotCache {
     files: [Mutex<FileShard>; SHARDS],
     /// Global LRU clock for the path-snapshot cache.
     tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
     /// The per-shard snapshot capacity implied by
     /// [`Config::snapshot_cache_capacity`] (0 = unbounded).
     ///
@@ -281,7 +298,7 @@ pub(super) struct SnapshotCache {
 }
 
 impl SnapshotCache {
-    pub(super) fn new(cfg: &Config) -> Self {
+    pub(super) fn new(cfg: &Config, telemetry: &Telemetry) -> Self {
         let per_shard = |n: usize| match n {
             0 => usize::MAX,
             n => n.div_ceil(SHARDS).max(1),
@@ -290,9 +307,9 @@ impl SnapshotCache {
             paths: std::array::from_fn(|_| Mutex::new(PathShard::default())),
             files: std::array::from_fn(|_| Mutex::new(FileShard::default())),
             tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: telemetry.counter("engine.cache.hits"),
+            misses: telemetry.counter("engine.cache.misses"),
+            evictions: telemetry.counter("engine.cache.evictions"),
             shard_cap: per_shard(cfg.snapshot_cache_capacity),
             pinned_shard_cap: per_shard(cfg.pinned_snapshot_budget),
         }
@@ -311,11 +328,11 @@ impl SnapshotCache {
     }
 
     pub(super) fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.inc();
     }
 
     pub(super) fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
     }
 
     /// Inserts `snap` at `path` under the LRU cap, counting evictions.
@@ -325,24 +342,19 @@ impl SnapshotCache {
             .lock()
             .insert_snapshot(path.clone(), snap, tick, self.shard_cap);
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.evictions.add(evicted);
         }
     }
 
-    pub(super) fn stats(&self) -> CacheStats {
-        let (mut resident, mut pinned) = (0u64, 0u64);
+    /// `metrics`' event counts with this cache's live occupancy.
+    pub(super) fn stats(&self, metrics: &MetricsSnapshot) -> CacheStats {
+        let mut stats = CacheStats::from_metrics(metrics);
         for shard in &self.paths {
             let s = shard.lock();
-            resident += s.snapshots.len() as u64;
-            pinned += s.pinned_count as u64;
+            stats.resident += s.snapshots.len() as u64;
+            stats.pinned += s.pinned_count as u64;
         }
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident,
-            pinned,
-        }
+        stats
     }
 
     /// Refreshes the path-keyed snapshot of `path` from `data` (its
@@ -500,7 +512,7 @@ impl SnapshotCache {
         // the LRU population and move to the pinned budget.
         let evicted = self.path(path).lock().pin(path, self.pinned_shard_cap);
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.evictions.add(evicted);
         }
         created
     }
@@ -630,7 +642,8 @@ mod tests {
             (0..200).flat_map(|i| format!("{tag} line {i}\n").into_bytes()).collect()
         };
         let (first, second) = (text("first"), text("second"));
-        SnapshotCache::new(&cfg).refresh(&cfg, &path, &first, content_stamp(&first), Some(&slot));
-        SnapshotCache::new(&cfg).refresh(&cfg, &path, &second, content_stamp(&second), Some(&slot));
+        let cache = || SnapshotCache::new(&cfg, &Telemetry::disabled());
+        cache().refresh(&cfg, &path, &first, content_stamp(&first), Some(&slot));
+        cache().refresh(&cfg, &path, &second, content_stamp(&second), Some(&slot));
     }
 }

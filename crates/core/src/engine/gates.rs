@@ -69,9 +69,7 @@ impl CryptoDrop {
             if !st.is_detected() {
                 let score = st.decayed_score(&self.cfg.score, ctx.at_nanos);
                 self.detect(st, score, ctx.at_nanos);
-                if self.shared.telemetry.is_enabled() {
-                    self.shared.metrics.decoy_trips.inc();
-                }
+                self.shared.metrics.decoy_trips.inc();
             }
         });
         Verdict::suspend(format!(
@@ -130,21 +128,17 @@ impl CryptoDrop {
         let mut delay = 0u64;
         if let Some(throttle) = cfg.throttle.filter(|t| score >= t.score) {
             delay = u64::from(score).saturating_mul(throttle.nanos_per_point);
-            if self.shared.telemetry.is_enabled() {
-                self.shared.metrics.throttled_ops.inc();
-            }
+            self.shared.metrics.throttled_ops.inc();
         }
         if let Some(budget) = cfg.rate_budget.filter(|_| rate_dry) {
             delay = delay.saturating_add(budget.throttle_nanos);
-            if self.shared.telemetry.is_enabled() {
-                self.shared.metrics.rate_throttled.inc();
-                self.shared
-                    .telemetry
-                    .journal_event(ctx.at_nanos, key.0, || JournalKind::RateBudget {
-                        tokens: 0,
-                        delay_nanos: budget.throttle_nanos,
-                    });
-            }
+            self.shared.metrics.rate_throttled.inc();
+            self.shared
+                .telemetry
+                .journal_event(ctx.at_nanos, key.0, || JournalKind::RateBudget {
+                    tokens: 0,
+                    delay_nanos: budget.throttle_nanos,
+                });
         }
         if delay == 0 {
             None
@@ -161,12 +155,10 @@ impl CryptoDrop {
             return;
         };
         let drawn = st.rate_consume(at_nanos, budget.capacity, budget.refill_nanos_per_token);
-        if self.shared.telemetry.is_enabled() {
-            if drawn {
-                self.shared.metrics.rate_consumed.inc();
-            } else {
-                self.shared.metrics.rate_exhausted.inc();
-            }
+        if drawn {
+            self.shared.metrics.rate_consumed.inc();
+        } else {
+            self.shared.metrics.rate_exhausted.inc();
         }
     }
 }

@@ -103,9 +103,9 @@ impl DetectionReport {
 /// One shard of the per-process-family scoreboard.
 type FamilyShard = HashMap<ProcessId, ProcessState>;
 
-/// Telemetry handles the engine resolves once at construction, so the
-/// per-operation cost when telemetry is enabled is an atomic bump — not a
-/// registry lookup — and exactly one branch when it is disabled.
+/// Telemetry handles the engine resolves once at construction, so a
+/// counted event costs one relaxed atomic bump — not a registry lookup —
+/// whether or not telemetry is enabled.
 struct EngineMetrics {
     /// Per-indicator evaluation latency (measured wall-clock nanoseconds),
     /// indexed by the indicator's position in [`Indicator::ALL`] (which
@@ -199,7 +199,7 @@ impl EngineShared {
     fn new(cfg: &Config, telemetry: Telemetry) -> Self {
         Self {
             families: std::array::from_fn(|_| Mutex::new(FamilyShard::default())),
-            cache: SnapshotCache::new(cfg),
+            cache: SnapshotCache::new(cfg, &telemetry),
             detections: Mutex::new(Vec::new()),
             metrics: EngineMetrics::new(&telemetry),
             telemetry,
@@ -367,10 +367,8 @@ impl Monitor {
         self.shared.detections.lock().clone()
     }
 
-    /// The detection report for one process, if it was detected.
-    ///
-    /// With [`Config::aggregate_process_families`] enabled (the default),
-    /// pass the *family root* pid — which is what
+    /// The detection report for one process family, if it was detected.
+    /// Pass the *family root* pid — which is what
     /// [`DetectionReport::pid`] carries.
     pub fn detection_for(&self, pid: ProcessId) -> Option<DetectionReport> {
         self.shared
@@ -388,9 +386,11 @@ impl Monitor {
     }
 
     /// Snapshot-cache effectiveness counters (stamp hits/misses, LRU
-    /// evictions, resident path snapshots).
+    /// evictions, resident path snapshots): the `engine.cache.*` counters
+    /// of this engine's telemetry sink, with the live occupancy.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
+        let metrics = self.shared.telemetry.metrics().snapshot();
+        self.shared.cache.stats(&metrics)
     }
 
     /// The telemetry handle the engine was constructed with (a disabled
@@ -404,10 +404,8 @@ impl Monitor {
     /// indicator that fired, in order, with its measured value, threshold,
     /// points, simulated timestamp, and the running score it produced —
     /// the explanation behind a suspension (paper §IV-A). Returns `None`
-    /// if the engine has never seen the pid.
-    ///
-    /// With [`Config::aggregate_process_families`] enabled (the default),
-    /// pass the family root pid, as carried by [`DetectionReport::pid`].
+    /// if the engine has never seen the pid. Pass the family root pid, as
+    /// carried by [`DetectionReport::pid`].
     pub fn audit_trail(&self, pid: ProcessId) -> Option<crate::audit::AuditTrail> {
         let suspended_at = self.detection_for(pid).map(|d| d.at_nanos);
         self.with_process(pid, |st| crate::audit::AuditTrail::rebuild(st, &self.cfg, suspended_at))
@@ -442,22 +440,20 @@ impl std::fmt::Debug for CryptoDrop {
 }
 
 impl CryptoDrop {
-    /// Routes an indicator hit through the scoreboard, first journaling
-    /// the contribution (indicator, measured value, threshold, points,
-    /// path) and bumping its fire counter when telemetry is enabled.
+    /// Routes an indicator hit through the scoreboard, first bumping its
+    /// fire counter and journaling the contribution (indicator, measured
+    /// value, threshold, points, path).
     fn award(&self, st: &mut ProcessState, path: &VPath, hit: IndicatorHit) {
-        if self.shared.telemetry.is_enabled() {
-            self.shared.metrics.fires[hit.indicator as usize].inc();
-            self.shared
-                .telemetry
-                .journal_event(hit.at_nanos, st.pid().0, || JournalKind::Indicator {
-                    indicator: hit.indicator.name().to_string(),
-                    value: hit.value,
-                    threshold: hit.threshold,
-                    points: hit.points,
-                    path: path.as_str().to_string(),
-                });
-        }
+        self.shared.metrics.fires[hit.indicator as usize].inc();
+        self.shared
+            .telemetry
+            .journal_event(hit.at_nanos, st.pid().0, || JournalKind::Indicator {
+                indicator: hit.indicator.name().to_string(),
+                value: hit.value,
+                threshold: hit.threshold,
+                points: hit.points,
+                path: path.as_str().to_string(),
+            });
         st.award(&self.cfg.score, self.cfg.union_enabled, hit);
         if let Some(shadow) = &self.shadow {
             // `st.pid()` is the scoring key — the family root under
@@ -641,14 +637,14 @@ impl CryptoDrop {
         let decaying = !cfg.score.decay.is_none();
         let score = st.decayed_score(&cfg.score, at_nanos);
         let threshold = st.effective_threshold(&cfg.score);
-        if decaying && self.shared.telemetry.is_enabled() {
+        if decaying {
             self.shared.metrics.decay_checks.inc();
         }
         if score < threshold {
             // A raw score over the line that decayed below it is the
             // decay policy actively suppressing a suspension — make
             // every such check visible, it is the policy's cost side.
-            if decaying && st.score() >= threshold && self.shared.telemetry.is_enabled() {
+            if decaying && st.score() >= threshold {
                 self.shared.metrics.decay_suppressed.inc();
                 self.shared
                     .telemetry
@@ -681,20 +677,16 @@ impl CryptoDrop {
         };
         let reason = report.reason();
         self.shared.detections.lock().push(report);
-        if self.shared.telemetry.is_enabled() {
-            self.shared.metrics.detections.inc();
-        }
+        self.shared.metrics.detections.inc();
         reason
     }
 
-    /// The scoring key for an operation context: the family root when
-    /// family aggregation is on (the default), otherwise the issuing pid.
+    /// The scoring key for an operation context: the issuing process's
+    /// top-level ancestor, so a sample that fans work out across child
+    /// processes is scored (and suspended) as one family — the paper's
+    /// "suspends the suspicious process (or family of processes)" (§IV).
     fn scoring_key(&self, ctx: &OpContext<'_>) -> ProcessId {
-        if self.cfg.aggregate_process_families {
-            ctx.family_root
-        } else {
-            ctx.pid
-        }
+        ctx.family_root
     }
 
     /// Builds a pre-operation snapshot-refresh record, borrowing the
@@ -994,9 +986,7 @@ impl CryptoDrop {
                 cryptodrop_entropy::entropy_lut_of(data),
                 "snapshot entropy drifted from the payload's"
             );
-            if self.shared.telemetry.is_enabled() {
-                self.shared.metrics.stamp_reuse.inc();
-            }
+            self.shared.metrics.stamp_reuse.inc();
         }
         known
     }
@@ -1071,15 +1061,13 @@ impl CryptoDrop {
                 if let Some(b) = baseline {
                     if b.reader_key != key && b.len > 0 && st.inherit_read_baseline(file) {
                         st.entropy_mut().observe_read_known(b.entropy(), b.len);
-                        if self.shared.telemetry.is_enabled() {
-                            self.shared.metrics.baselines_inherited.inc();
-                            self.shared.telemetry.journal_event(at, key.0, || {
-                                JournalKind::BaselineInherited {
-                                    path: path.as_str().to_string(),
-                                    reader_pid: b.reader_pid.0,
-                                }
-                            });
-                        }
+                        self.shared.metrics.baselines_inherited.inc();
+                        self.shared.telemetry.journal_event(at, key.0, || {
+                            JournalKind::BaselineInherited {
+                                path: path.as_str().to_string(),
+                                reader_pid: b.reader_pid.0,
+                            }
+                        });
                     }
                 }
                 let timer = self.shared.telemetry.start_timer();
@@ -1136,9 +1124,7 @@ impl CryptoDrop {
             if let Some(file_type) = resident_type.flatten() {
                 debug_assert_eq!(stamp, content_stamp(current), "tier-1 close on a stale stamp");
                 cache.hit();
-                if self.shared.telemetry.is_enabled() {
-                    self.shared.metrics.incr_stamp_skips.inc();
-                }
+                self.shared.metrics.incr_stamp_skips.inc();
                 let verdict = self.score_close(rec, path, file_type, current, [None, None]);
                 cache.touch(path, file, stamp);
                 return verdict;
@@ -1156,12 +1142,10 @@ impl CryptoDrop {
         let post_type = sniff(current);
         let (fresh, delta) =
             evidence::close_snapshot(cfg, pre.as_ref(), current, stamp, dirty, post_type);
-        if self.shared.telemetry.is_enabled() {
-            if delta {
-                self.shared.metrics.incr_delta.inc();
-            } else {
-                self.shared.metrics.incr_full.inc();
-            }
+        if delta {
+            self.shared.metrics.incr_delta.inc();
+        } else {
+            self.shared.metrics.incr_full.inc();
         }
         debug_assert_reference(&fresh, current, cfg.max_digest_bytes);
         let hits = pre.as_ref().map_or([None, None], |pre| {
@@ -1389,6 +1373,11 @@ mod tests {
 
     /// Stages a small corpus and returns (vfs, monitor).
     fn setup(files: usize) -> (Vfs, Monitor) {
+        setup_with(files, Telemetry::disabled())
+    }
+
+    /// [`setup`] with the engine reporting to `telemetry`.
+    fn setup_with(files: usize, telemetry: Telemetry) -> (Vfs, Monitor) {
         let mut fs = Vfs::new();
         let docs = VPath::new(DOCS);
         for i in 0..files {
@@ -1396,7 +1385,7 @@ mod tests {
             fs.admin().write_file(&path, &text_content(i as u32, 4096)).unwrap();
         }
         fs.admin().create_dir_all(&VPath::new("/tmp")).unwrap();
-        let (engine, monitor) = new_engine(Config::protecting(DOCS));
+        let (engine, monitor) = CryptoDrop::with_telemetry_inner(Config::protecting(DOCS), telemetry);
         fs.register_filter(Box::new(engine));
         (fs, monitor)
     }
@@ -2305,6 +2294,21 @@ mod tests {
     }
 
     #[test]
+    fn renaming_a_link_over_its_twin_loses_no_file() {
+        // rename(2) between two links of one file does nothing, so a
+        // pre-existing protected file renamed over its own second link
+        // is not lost.
+        let (mut fs, monitor) = setup(3);
+        let pid = fs.spawn_process("linker.exe");
+        let docs = VPath::new(DOCS);
+        let (a, b) = (docs.join("dir0/file0.txt"), docs.join("dir0/twin.txt"));
+        fs.link(pid, &a, &b).unwrap();
+        fs.rename(pid, &a, &b, true).unwrap();
+        assert!(fs.admin().exists(&a) && fs.admin().exists(&b));
+        assert_eq!(monitor.files_lost(pid), 0);
+    }
+
+    #[test]
     fn unlinking_one_hard_link_keeps_the_read_baseline() {
         // A read baseline is collusion evidence, not a cache. A writer
         // family that links a file another family read, then deletes the
@@ -2676,7 +2680,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_telemetry_keeps_journal_and_metrics_empty() {
+    fn disabled_telemetry_skips_journal_and_timers_but_counts() {
         let (mut fs, monitor) = setup(40);
         let pid = fs.spawn_process("quiet.exe");
         run_class_a(&mut fs, pid);
@@ -2685,16 +2689,26 @@ mod tests {
         assert!(!t.is_enabled());
         assert!(t.journal().is_empty(), "disabled telemetry must not journal");
         let snap = t.metrics().snapshot();
-        assert!(
-            snap.counters.values().all(|v| *v == 0),
-            "disabled telemetry must not count: {snap:?}"
-        );
         assert!(snap.histograms.values().all(|h| h.count == 0));
         // The audit trail still works: it reads the scoreboard, not the
         // journal.
         let trail = monitor.audit_trail(pid).expect("trail without telemetry");
         assert!(trail.detected);
         assert!(!trail.entries.is_empty());
+
+        // The same workload under an enabled sink counts the same: the
+        // registry is the only tally either way.
+        let (mut fs, enabled) = setup_with(40, Telemetry::new(1 << 16));
+        let enabled_pid = fs.spawn_process("quiet.exe");
+        run_class_a(&mut fs, enabled_pid);
+        assert!(fs.is_suspended(enabled_pid));
+        assert_eq!(
+            snap.counters,
+            enabled.telemetry().metrics().snapshot().counters,
+            "disabled telemetry must count what enabled telemetry counts"
+        );
+        assert_eq!(snap.counter("engine.detections"), 1);
+        assert!(snap.counter("engine.cache.misses") > 0);
     }
 
     /// Stages a corpus plus one decoy, registered with the engine.

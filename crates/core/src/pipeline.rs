@@ -21,9 +21,10 @@
 //!
 //! Backpressure on a full shard queue is explicit policy, not an accident
 //! — see [`Backpressure`]. Queue depth, batch size, drain latency, and
-//! degradation events are exported through the telemetry registry
-//! (`pipeline.*` metrics) and mirrored in the always-on
-//! [`PipelineStats`] counters.
+//! degradation events are counted once, in the telemetry registry
+//! (`pipeline.*` metrics); [`PipelineStats`] is a typed view of those
+//! counts. Only the drain-latency timer and the journal events wait for
+//! telemetry to be enabled.
 //!
 //! # Fault tolerance
 //!
@@ -60,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use cryptodrop_telemetry::{Counter, Gauge, Histogram, JournalKind, Telemetry};
+use cryptodrop_telemetry::{Counter, Gauge, Histogram, JournalKind, MetricsSnapshot, Telemetry};
 use cryptodrop_vfs::{FaultInjector, Verdict};
 
 use crate::engine::CryptoDrop;
@@ -129,8 +130,9 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Point-in-time pipeline counters, available whether or not telemetry is
-/// enabled. Read via [`Session::pipeline_stats`](crate::Session::pipeline_stats).
+/// Point-in-time pipeline counters: a typed view of the `pipeline.*`
+/// metrics, available whether or not telemetry is enabled. Read via
+/// [`Session::pipeline_stats`](crate::Session::pipeline_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineStats {
     /// Records accepted onto a shard queue.
@@ -141,13 +143,32 @@ pub struct PipelineStats {
     /// Full-queue degradations: submissions that drained the shard and ran
     /// inline (see [`Backpressure::DegradeToInline`]).
     pub degraded: u64,
-    /// Batches drained (by workers or by degrading producers).
+    /// Batches drained (by workers or by degrading producers): the sample
+    /// count of the `pipeline.batch.size` histogram.
     pub batches: u64,
     /// Workers respawned after a panic unwound their loop.
     pub worker_restarts: u64,
     /// Records whose analysis was abandoned (completed un-analyzed) after
     /// repeatedly panicking their worker.
     pub abandoned: u64,
+}
+
+impl PipelineStats {
+    /// The pipeline counts in `metrics`: one session's registry, or a
+    /// fleet rollup.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        Self {
+            enqueued: metrics.counter("pipeline.enqueued"),
+            processed: metrics.counter("pipeline.processed"),
+            degraded: metrics.counter("pipeline.degraded"),
+            batches: metrics
+                .histograms
+                .get("pipeline.batch.size")
+                .map_or(0, |h| h.count),
+            worker_restarts: metrics.counter("pipeline.worker_restarts"),
+            abandoned: metrics.counter("pipeline.abandoned"),
+        }
+    }
 }
 
 /// A record in flight.
@@ -165,15 +186,14 @@ struct ShardQueue {
     /// producer — guarantees a shard's records are never reordered even
     /// when a producer drains it.
     drain: Mutex<()>,
-    enqueued: AtomicU64,
-    processed: AtomicU64,
     /// Records enqueued on this shard and not yet completed — counts a
     /// record from its `q.push_back` until its verdict is produced, so it
     /// covers both queue residency *and* time inside a worker's batch
     /// (a panic-requeued record simply stays counted). The light-record
     /// fast path reads this single atomic to prove the shard has no
-    /// in-flight analysis to order against; fast-path records themselves
-    /// never touch it.
+    /// in-flight analysis to order against, and [`PipelineShared::quiesce`]
+    /// waits for it to reach zero; fast-path records themselves never
+    /// touch it.
     busy: AtomicU64,
 }
 
@@ -182,8 +202,6 @@ impl ShardQueue {
         Self {
             q: Mutex::new(VecDeque::new()),
             drain: Mutex::new(()),
-            enqueued: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
             busy: AtomicU64::new(0),
         }
     }
@@ -226,10 +244,6 @@ pub(crate) struct PipelineShared {
     /// the workers; workers re-scan instead of sleeping whenever it moved.
     work_seq: Mutex<u64>,
     work_ready: Condvar,
-    degraded: AtomicU64,
-    batches: AtomicU64,
-    worker_restarts: AtomicU64,
-    abandoned: AtomicU64,
     metrics: PipelineMetrics,
     telemetry: Telemetry,
     /// Shared fault-decision engine (chaos testing). Consulted by workers
@@ -277,10 +291,6 @@ impl PipelineShared {
             shutdown: AtomicBool::new(false),
             work_seq: Mutex::new(0),
             work_ready: Condvar::new(),
-            degraded: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
             metrics,
             telemetry,
             injector,
@@ -307,14 +317,11 @@ impl PipelineShared {
     /// Records that a worker was respawned after a panic. Called by the
     /// session's worker wrapper, which owns the `catch_unwind`.
     pub(crate) fn note_worker_restart(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-        if self.telemetry.is_enabled() {
-            self.metrics.worker_restarts.inc();
-            self.telemetry.journal_event(0, 0, || JournalKind::Fault {
-                site: "pipeline.worker".to_string(),
-                detail: "worker respawned after panic".to_string(),
-            });
-        }
+        self.metrics.worker_restarts.inc();
+        self.telemetry.journal_event(0, 0, || JournalKind::Fault {
+            site: "pipeline.worker".to_string(),
+            detail: "worker respawned after panic".to_string(),
+        });
     }
 
     /// Submits one record and returns its verdict: the real one when the
@@ -344,19 +351,15 @@ impl PipelineShared {
         // that record's engine effects), and in production a family's
         // records come from one `Vfs` thread, so no same-family record can
         // be submitted concurrently. Counted as enqueued + processed so
-        // the settlement invariant holds; disabled under fault injection
-        // so chaos runs keep exercising the worker path.
+        // the books balance; disabled under fault injection so chaos runs
+        // keep exercising the worker path.
         if self.injector.is_none()
             && shard.busy.load(Ordering::Acquire) == 0
             && engine.record_is_light(&rec)
         {
             let v = engine.process_record(&rec);
-            shard.enqueued.fetch_add(1, Ordering::Relaxed);
-            shard.processed.fetch_add(1, Ordering::Relaxed);
-            if self.telemetry.is_enabled() {
-                self.metrics.enqueued.inc();
-                self.metrics.processed.inc();
-            }
+            self.metrics.enqueued.inc();
+            self.metrics.processed.inc();
             return v;
         }
         {
@@ -369,11 +372,8 @@ impl PipelineShared {
                 shard.busy.fetch_add(1, Ordering::Release);
                 let depth = q.len();
                 drop(q);
-                shard.enqueued.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.is_enabled() {
-                    self.metrics.enqueued.inc();
-                    self.metrics.depth.set(depth as i64);
-                }
+                self.metrics.enqueued.inc();
+                self.metrics.depth.set(depth as i64);
                 // Wakes are batched. The producer never waits, so an eager
                 // wake buys nothing and costs a lot — waking a parked
                 // worker preempts the producer (the sleeper has all the
@@ -396,16 +396,12 @@ impl PipelineShared {
         // batch, empty the shard first (FIFO), then process the new record
         // directly from its borrowed form — nothing is ever dropped and
         // nothing is copied.
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-        if self.telemetry.is_enabled() {
-            self.metrics.degraded.inc();
-            let shard_idx = self.shard_for(rec.key) as u64;
-            self.telemetry
-                .journal_event(rec.at_nanos, rec.key.0, || JournalKind::Backpressure {
-                    shard: shard_idx,
-                    queued: self.cfg.capacity as u64,
-                });
-        }
+        self.metrics.degraded.inc();
+        self.telemetry
+            .journal_event(rec.at_nanos, rec.key.0, || JournalKind::Backpressure {
+                shard: self.shard_for(rec.key) as u64,
+                queued: self.cfg.capacity as u64,
+            });
         let _drain = lock_recover(&shard.drain);
         self.drain_shard(engine, shard, false);
         engine.process_record(&rec)
@@ -443,19 +439,15 @@ impl PipelineShared {
                     // more than once: complete it un-analyzed rather than
                     // crash-looping the pool.
                     if let Some(item) = guard.pending.pop_front() {
+                        self.metrics.processed.inc();
+                        self.metrics.abandoned.inc();
                         shard.busy.fetch_sub(1, Ordering::Release);
-                        shard.processed.fetch_add(1, Ordering::Relaxed);
-                        self.abandoned.fetch_add(1, Ordering::Relaxed);
-                        if self.telemetry.is_enabled() {
-                            self.metrics.processed.inc();
-                            self.metrics.abandoned.inc();
-                            self.telemetry.journal_event(item.rec.at_nanos, item.rec.key.0, || {
-                                JournalKind::Fault {
-                                    site: "pipeline.worker".to_string(),
-                                    detail: "record abandoned after repeated panics".to_string(),
-                                }
-                            });
-                        }
+                        self.telemetry.journal_event(item.rec.at_nanos, item.rec.key.0, || {
+                            JournalKind::Fault {
+                                site: "pipeline.worker".to_string(),
+                                detail: "record abandoned after repeated panics".to_string(),
+                            }
+                        });
                         total += 1;
                     }
                     continue;
@@ -474,19 +466,15 @@ impl PipelineShared {
                 // a crossing reaches the family through the family gate.
                 engine.process_record(&item.rec);
                 guard.pending.pop_front();
+                // Counted before `busy` drops, so a quiesced pipeline's
+                // stats include every record it completed.
+                self.metrics.processed.inc();
                 shard.busy.fetch_sub(1, Ordering::Release);
-                shard.processed.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.is_enabled() {
-                    self.metrics.processed.inc();
-                }
                 total += 1;
             }
             drop(guard); // empty: disarms without requeueing
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            if self.telemetry.is_enabled() {
-                self.metrics.batch_size.record(batch_len);
-                self.metrics.drain_ns.record_elapsed(timer);
-            }
+            self.metrics.batch_size.record(batch_len);
+            self.metrics.drain_ns.record_elapsed(timer);
         }
         total
     }
@@ -556,10 +544,7 @@ impl PipelineShared {
     /// — quiesce must not wait out the idle timer.
     pub(crate) fn quiesce(&self) {
         loop {
-            let settled = self.shards.iter().all(|s| {
-                lock_recover(&s.q).is_empty()
-                    && s.enqueued.load(Ordering::Acquire) == s.processed.load(Ordering::Acquire)
-            });
+            let settled = self.shards.iter().all(|s| s.busy.load(Ordering::Acquire) == 0);
             if settled {
                 return;
             }
@@ -576,19 +561,7 @@ impl PipelineShared {
     }
 
     pub(crate) fn stats(&self) -> PipelineStats {
-        let (mut enqueued, mut processed) = (0u64, 0u64);
-        for s in &self.shards {
-            enqueued += s.enqueued.load(Ordering::Relaxed);
-            processed += s.processed.load(Ordering::Relaxed);
-        }
-        PipelineStats {
-            enqueued,
-            processed,
-            degraded: self.degraded.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
-        }
+        PipelineStats::from_metrics(&self.telemetry.metrics().snapshot())
     }
 }
 

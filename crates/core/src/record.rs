@@ -21,10 +21,9 @@ use cryptodrop_vfs::{DirtyReport, FileId, MemoSlot, ProcessId, VPath};
 /// input the indicator evaluation needs, captured at operation time.
 #[derive(Debug, Clone)]
 pub(crate) struct OpRecord<'a> {
-    /// The scoring key: the family root when
-    /// [`Config::aggregate_process_families`](crate::Config::aggregate_process_families)
-    /// is on, otherwise the issuing pid. Also selects the pipeline shard,
-    /// so one family's records are always processed in order.
+    /// The scoring key: the issuing process's family root. Also selects
+    /// the pipeline shard, so one family's records are always processed
+    /// in order.
     pub key: ProcessId,
     /// The issuing pid. Rename replacements are scored against the issuer
     /// (matching the pre-shard engine), which can differ from `key`.

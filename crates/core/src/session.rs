@@ -258,10 +258,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Wires the engine (and its pipeline, if enabled) to a [`Telemetry`]
-    /// sink. Share the same handle with
-    /// [`Vfs::set_telemetry`](cryptodrop_vfs::Vfs::set_telemetry) to merge
-    /// filter and engine events onto one timeline.
+    /// Wires the engine (and its pipeline, shadow store and fault
+    /// injector, if enabled) to a [`Telemetry`] sink. Share the same
+    /// handle with [`Vfs::set_telemetry`](cryptodrop_vfs::Vfs::set_telemetry)
+    /// to merge filter and engine events onto one timeline. The sink's
+    /// registry is where the session's counts live, and the session's
+    /// stats ([`Monitor::cache_stats`], [`Session::pipeline_stats`],
+    /// [`ShadowStore::stats`], [`Session::fault_stats`]) are views of it:
+    /// sessions that share one sink pool their counts. Without this call
+    /// the session gets a disabled sink of its own.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self

@@ -289,8 +289,8 @@ fn degraded_pipeline_drops_nothing_and_counts_degradations() {
     assert_eq!(neutralize(inline.1), neutralize(degraded_run.1));
 
     // The saturation actually happened, and the books balance: everything
-    // enqueued was processed, degradations were counted in the always-on
-    // stats, mirrored in the metric registry, and journaled.
+    // enqueued was processed, degradations were counted in the metric
+    // registry the stats read, and journaled.
     let stats = session.pipeline_stats();
     assert!(stats.degraded > 0, "capacity-1 queue never saturated");
     assert_eq!(stats.enqueued, stats.processed, "queued records leaked");

@@ -155,8 +155,10 @@ pub struct TenantSpec {
     pub pipeline: Option<PipelineConfig>,
     /// Deterministic fault plan for chaos runs.
     pub faults: Option<FaultPlan>,
-    /// Disables this tenant's telemetry sink (probes become no-ops and
-    /// the tenant contributes nothing to rollups).
+    /// Disables this tenant's telemetry sink: its timers and journal are
+    /// off, so it adds no events to [`Fleet::tagged_journal`] and no
+    /// latency samples to [`Fleet::rollup`]. Its counters and gauges
+    /// still record, and still appear in the rollup.
     pub quiet: bool,
     /// Pins the tenant's simulated clock to the deterministic policy:
     /// measured filter overhead is ledgered but never folded into
@@ -627,6 +629,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cryptodrop::{CacheStats, ShadowStats};
     use cryptodrop_vfs::OpenOptions;
 
     fn docs() -> VPath {
@@ -757,12 +760,60 @@ mod tests {
         let mut fleet = fleet_with_corpus(10);
         let a = fleet.spawn(TenantSpec::named("a")).unwrap();
         let b = fleet.spawn(TenantSpec::named("b")).unwrap();
-        for id in [a, b] {
+        // A quiet pipelined tenant: it journals nothing, but its counts
+        // still reach the rollup.
+        let piped = fleet
+            .spawn(TenantSpec {
+                quiet: true,
+                ..TenantSpec::named("piped").pipelined(PipelineConfig::default())
+            })
+            .unwrap();
+        for id in [a, b, piped] {
             let t = fleet.get_mut(id).unwrap();
             let pid = t.fs_mut().spawn_process("app.exe");
             encrypt_all(t.fs_mut(), pid, 10);
+            t.session().drain();
         }
         let rollup = fleet.rollup();
+
+        // The stats structs read the rollup as a fleet-wide view: each
+        // counter field is the sum of the tenants' own stats.
+        let mut cache = CacheStats::default();
+        let mut shadow = ShadowStats::default();
+        let mut pipeline = PipelineStats::default();
+        for t in fleet.tenants() {
+            let session = t.session();
+            let c = session.cache_stats();
+            cache.hits += c.hits;
+            cache.misses += c.misses;
+            cache.evictions += c.evictions;
+            let s = session.shadow_store().unwrap().stats();
+            shadow.captures += s.captures;
+            shadow.coalesced += s.coalesced;
+            shadow.dedup_hits += s.dedup_hits;
+            shadow.evictions += s.evictions;
+            shadow.pin_overflows += s.pin_overflows;
+            shadow.files_restored += s.files_restored;
+            shadow.files_removed += s.files_removed;
+            shadow.renames_undone += s.renames_undone;
+            shadow.restore_conflicts += s.restore_conflicts;
+            shadow.capture_failures += s.capture_failures;
+            let p = session.pipeline_stats();
+            pipeline.enqueued += p.enqueued;
+            pipeline.processed += p.processed;
+            pipeline.degraded += p.degraded;
+            pipeline.batches += p.batches;
+            pipeline.worker_restarts += p.worker_restarts;
+            pipeline.abandoned += p.abandoned;
+        }
+        assert_eq!(CacheStats::from_metrics(&rollup), cache);
+        assert_eq!(ShadowStats::from_metrics(&rollup), shadow);
+        assert_eq!(PipelineStats::from_metrics(&rollup), pipeline);
+        assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
+        assert!(shadow.captures > 0, "{shadow:?}");
+        assert!(pipeline.enqueued > 0, "{pipeline:?}");
+        assert!(pipeline.processed > 0 && pipeline.batches > 0, "{pipeline:?}");
+
         let per_tenant: u64 = fleet
             .tenants()
             .map(|t| {

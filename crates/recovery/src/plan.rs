@@ -274,10 +274,10 @@ impl ShadowStore {
 
     /// Applies a [`RecoveryPlan`], rolling the filesystem back
     /// byte-for-byte through the administrative view (recovery writes are
-    /// unattributed and never themselves captured). Emits `recovery.*`
-    /// metrics, `Recovery` journal events, and folds the outcome into
-    /// [`ShadowStats`](crate::ShadowStats); the suspect family's journal
-    /// state is dropped afterwards (the rollback consumed it).
+    /// unattributed and never themselves captured). Counts the outcome in
+    /// the `recovery.*` metrics that [`ShadowStats`](crate::ShadowStats)
+    /// reads and emits `Recovery` journal events; the suspect family's
+    /// journal state is dropped afterwards (the rollback consumed it).
     pub fn restore(&self, plan: &RecoveryPlan, fs: &mut Vfs) -> RecoveryReport {
         let started = Instant::now();
         let at_nanos = fs.clock().now_nanos();
@@ -372,33 +372,14 @@ impl ShadowStore {
         }
 
         report.restore_nanos = started.elapsed().as_nanos() as u64;
-        if telemetry.is_enabled() {
-            telemetry
-                .counter("recovery.files.restored")
-                .add(report.files_restored);
-            telemetry
-                .counter("recovery.bytes.restored")
-                .add(report.bytes_restored);
-            telemetry
-                .counter("recovery.files.removed")
-                .add(report.files_removed);
-            telemetry
-                .counter("recovery.renames.undone")
-                .add(report.renames_undone);
-            telemetry
-                .counter("recovery.conflicts")
-                .add(report.conflicts.len() as u64);
-            telemetry
-                .histogram("recovery.restore.ns")
-                .record(report.restore_nanos);
-        }
-        self.finish_recovery(
-            plan.family,
-            report.files_restored,
-            report.files_removed,
-            report.renames_undone,
-            report.conflicts.len() as u64,
-        );
+        let m = &self.metrics;
+        m.files_restored.add(report.files_restored);
+        m.bytes_restored.add(report.bytes_restored);
+        m.files_removed.add(report.files_removed);
+        m.renames_undone.add(report.renames_undone);
+        m.conflicts.add(report.conflicts.len() as u64);
+        m.restore_ns.record(report.restore_nanos);
+        self.finish_recovery(plan.family);
         report
     }
 

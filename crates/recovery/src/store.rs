@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use cryptodrop_simhash::content_fingerprint;
-use cryptodrop_telemetry::{JournalKind, Telemetry};
+use cryptodrop_telemetry::{Counter, Gauge, Histogram, JournalKind, MetricsSnapshot, Telemetry};
 use cryptodrop_vfs::shadow::{PreImage, ShadowSink};
 use cryptodrop_vfs::{BlobStore, FileId, ProcessId, VPath};
 use parking_lot::Mutex;
@@ -54,7 +54,9 @@ impl ShadowConfig {
     }
 }
 
-/// `CacheStats`-style counters describing the store's lifetime activity.
+/// `CacheStats`-style counters describing the store's lifetime activity:
+/// a typed view of the `recovery.*` counters plus the live occupancy
+/// (`entries`, `bytes_held`, `pinned_entries`).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShadowStats {
     /// Pre-images journaled: one per (file, family) run, taken by the
@@ -94,6 +96,66 @@ pub struct ShadowStats {
     /// exactly like an eviction; one inside a run loses nothing the
     /// restore needs.
     pub capture_failures: u64,
+}
+
+impl ShadowStats {
+    /// The event counts in `metrics` — one store's registry, or a fleet
+    /// rollup — with zero occupancy, which only a live store knows.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        Self {
+            captures: metrics.counter("recovery.shadow.captures"),
+            coalesced: metrics.counter("recovery.shadow.coalesced"),
+            dedup_hits: metrics.counter("recovery.shadow.dedup_hits"),
+            evictions: metrics.counter("recovery.shadow.evictions"),
+            pin_overflows: metrics.counter("recovery.shadow.pin_overflow"),
+            files_restored: metrics.counter("recovery.files.restored"),
+            files_removed: metrics.counter("recovery.files.removed"),
+            renames_undone: metrics.counter("recovery.renames.undone"),
+            restore_conflicts: metrics.counter("recovery.conflicts"),
+            capture_failures: metrics.counter("recovery.shadow.capture_failures"),
+            ..Self::default()
+        }
+    }
+}
+
+/// The store's registry handles, resolved once at construction.
+#[derive(Debug)]
+pub(crate) struct ShadowMetrics {
+    captures: Counter,
+    coalesced: Counter,
+    dedup_hits: Counter,
+    evictions: Counter,
+    pin_overflows: Counter,
+    capture_failures: Counter,
+    pub(crate) files_restored: Counter,
+    pub(crate) bytes_restored: Counter,
+    pub(crate) files_removed: Counter,
+    pub(crate) renames_undone: Counter,
+    pub(crate) conflicts: Counter,
+    pub(crate) restore_ns: Histogram,
+    bytes: Gauge,
+    entries: Gauge,
+}
+
+impl ShadowMetrics {
+    fn new(t: &Telemetry) -> Self {
+        Self {
+            captures: t.counter("recovery.shadow.captures"),
+            coalesced: t.counter("recovery.shadow.coalesced"),
+            dedup_hits: t.counter("recovery.shadow.dedup_hits"),
+            evictions: t.counter("recovery.shadow.evictions"),
+            pin_overflows: t.counter("recovery.shadow.pin_overflow"),
+            capture_failures: t.counter("recovery.shadow.capture_failures"),
+            files_restored: t.counter("recovery.files.restored"),
+            bytes_restored: t.counter("recovery.bytes.restored"),
+            files_removed: t.counter("recovery.files.removed"),
+            renames_undone: t.counter("recovery.renames.undone"),
+            conflicts: t.counter("recovery.conflicts"),
+            restore_ns: t.histogram("recovery.restore.ns"),
+            bytes: t.gauge("recovery.shadow.bytes"),
+            entries: t.gauge("recovery.shadow.entries"),
+        }
+    }
 }
 
 /// One journaled pre-image (content lives in a shared blob).
@@ -164,7 +226,6 @@ pub(crate) struct Inner {
     /// family root → latest reputation score (pin source).
     reputation: HashMap<ProcessId, u32>,
     next_seq: u64,
-    stats: ShadowStats,
 }
 
 impl Inner {
@@ -223,20 +284,23 @@ pub struct ShadowStore {
     cfg: ShadowConfig,
     pub(crate) inner: Mutex<Inner>,
     telemetry: Telemetry,
+    pub(crate) metrics: ShadowMetrics,
 }
 
 impl ShadowStore {
-    /// An empty store with the given budgets and disabled telemetry.
+    /// An empty store with the given budgets and a disabled telemetry
+    /// sink of its own.
     pub fn new(cfg: ShadowConfig) -> Self {
         Self::with_telemetry(cfg, Telemetry::disabled())
     }
 
-    /// An empty store emitting `recovery.*` metrics and `ShadowEvict`
-    /// journal events through `telemetry`.
+    /// An empty store counting into `telemetry`'s `recovery.*` metrics
+    /// and journaling `ShadowEvict` and `Recovery` events through it.
     pub fn with_telemetry(cfg: ShadowConfig, telemetry: Telemetry) -> Self {
         Self {
             cfg,
             inner: Mutex::new(Inner::default()),
+            metrics: ShadowMetrics::new(&telemetry),
             telemetry,
         }
     }
@@ -258,10 +322,11 @@ impl ShadowStore {
         self.inner.lock().reputation.insert(family, score);
     }
 
-    /// A consistent snapshot of the store's counters.
+    /// The store's counters: the `recovery.*` counts of its telemetry
+    /// sink, with the occupancy read under the store lock.
     pub fn stats(&self) -> ShadowStats {
         let inner = self.inner.lock();
-        let mut stats = inner.stats.clone();
+        let mut stats = ShadowStats::from_metrics(&self.telemetry.metrics().snapshot());
         stats.entries = inner.entries.len() as u64;
         stats.bytes_held = inner.blobs.bytes_held();
         stats.pinned_entries = inner
@@ -327,10 +392,7 @@ impl ShadowStore {
                 }
             }
             let Some(seq) = releasing.or(oldest_unpinned) else {
-                inner.stats.pin_overflows += 1;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.counter("recovery.shadow.pin_overflow").inc();
-                }
+                self.metrics.pin_overflows.inc();
                 return;
             };
             let Some((entry, released)) = inner.evict(seq) else {
@@ -338,13 +400,8 @@ impl ShadowStore {
                 // eviction must never panic the capture path.
                 return;
             };
-            inner.stats.evictions += 1;
-            if self.telemetry.is_enabled() {
-                self.telemetry.counter("recovery.shadow.evictions").inc();
-                self.telemetry
-                    .gauge("recovery.shadow.bytes")
-                    .set(inner.blobs.bytes_held() as i64);
-            }
+            self.metrics.evictions.inc();
+            self.set_occupancy(inner);
             self.telemetry
                 .journal_event(entry.at_nanos, entry.family.0, || JournalKind::ShadowEvict {
                     path: entry.path.as_str().to_string(),
@@ -363,10 +420,7 @@ impl ShadowSink for ShadowStore {
         // capture is journaled (or its tombstone recorded), a repeat adds
         // nothing — skip before hashing or copying a byte.
         if inner.continues_run(pre.file, pre.family_root) {
-            inner.stats.coalesced += 1;
-            if self.telemetry.is_enabled() {
-                self.telemetry.counter("recovery.shadow.coalesced").inc();
-            }
+            self.metrics.coalesced.inc();
             return;
         }
 
@@ -374,10 +428,7 @@ impl ShadowSink for ShadowStore {
         let len = pre.data.len() as u64;
         let (_blob, dedup_hit) = inner.blobs.acquire_with(fp, len, || pre.data.to_vec());
         if dedup_hit {
-            inner.stats.dedup_hits += 1;
-            if self.telemetry.is_enabled() {
-                self.telemetry.counter("recovery.shadow.dedup_hits").inc();
-            }
+            self.metrics.dedup_hits.inc();
         }
 
         let seq = inner.next_seq();
@@ -402,16 +453,8 @@ impl ShadowSink for ShadowStore {
                 seq,
                 family: pre.family_root,
             });
-        inner.stats.captures += 1;
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter("recovery.shadow.captures").inc();
-            self.telemetry
-                .gauge("recovery.shadow.bytes")
-                .set(inner.blobs.bytes_held() as i64);
-            self.telemetry
-                .gauge("recovery.shadow.entries")
-                .set(inner.entries.len() as i64);
-        }
+        self.metrics.captures.inc();
+        self.set_occupancy(&inner);
         self.enforce_budget(&mut inner);
     }
 
@@ -440,17 +483,12 @@ impl ShadowSink for ShadowStore {
                     path: path.clone(),
                 });
         }
-        inner.stats.capture_failures += 1;
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("recovery.shadow.capture_failures")
-                .inc();
-            self.telemetry.journal_event(0, family_root.0, || JournalKind::Recovery {
-                action: "capture-failed".to_string(),
-                path: path.as_str().to_string(),
-                bytes: 0,
-            });
-        }
+        self.metrics.capture_failures.inc();
+        self.telemetry.journal_event(0, family_root.0, || JournalKind::Recovery {
+            action: "capture-failed".to_string(),
+            path: path.as_str().to_string(),
+            bytes: 0,
+        });
     }
 
     fn note_created(&self, _pid: ProcessId, family_root: ProcessId, file: FileId, _path: &VPath) {
@@ -481,23 +519,18 @@ impl ShadowSink for ShadowStore {
 }
 
 impl ShadowStore {
-    /// Folds a finished recovery's outcome into the lifetime counters and
-    /// drops the suspect family's journal state (its shadows are no
-    /// longer needed; blob bytes shared with other families survive via
-    /// refcounts). Called by [`ShadowStore::restore`].
-    pub(crate) fn finish_recovery(
-        &self,
-        family: ProcessId,
-        restored: u64,
-        removed: u64,
-        renamed: u64,
-        conflicts: u64,
-    ) {
+    /// Publishes the held bytes and entries to the occupancy gauges.
+    fn set_occupancy(&self, inner: &Inner) {
+        self.metrics.bytes.set(inner.blobs.bytes_held() as i64);
+        self.metrics.entries.set(inner.entries.len() as i64);
+    }
+
+    /// Drops the suspect family's journal state after a recovery (its
+    /// shadows are no longer needed; blob bytes shared with other
+    /// families survive via refcounts). Called by
+    /// [`ShadowStore::restore`].
+    pub(crate) fn finish_recovery(&self, family: ProcessId) {
         let mut inner = self.inner.lock();
-        inner.stats.files_restored += restored;
-        inner.stats.files_removed += removed;
-        inner.stats.renames_undone += renamed;
-        inner.stats.restore_conflicts += conflicts;
         inner.by_file.retain(|_, history| {
             history.retain(|e| e.family() != family);
             !history.is_empty()
@@ -512,14 +545,7 @@ impl ShadowStore {
         });
         inner.renames.retain(|r| r.family != family);
         inner.created.retain(|_, fam| *fam != family);
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .gauge("recovery.shadow.bytes")
-                .set(inner.blobs.bytes_held() as i64);
-            self.telemetry
-                .gauge("recovery.shadow.entries")
-                .set(inner.entries.len() as i64);
-        }
+        self.set_occupancy(&inner);
     }
 }
 

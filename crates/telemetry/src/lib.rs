@@ -11,12 +11,16 @@
 //!   operation's journey (op → filter pre/post verdicts → indicator
 //!   contributions → suspension) with JSONL export.
 //!
-//! Both sit behind one cloneable [`Telemetry`] handle whose enablement is
-//! a single relaxed atomic load: with telemetry disabled (the default for
-//! [`Telemetry::disabled`]) instrumented code pays one branch per probe
-//! and skips all clock reads, formatting, and locking. The
-//! `BENCH_telemetry.json` bench quantifies exactly that disabled-path
-//! cost.
+//! Both sit behind one cloneable [`Telemetry`] handle. The registry is the
+//! one place a count lives: counters, gauges and value histograms record
+//! whether or not the handle is enabled, through handles resolved once.
+//! Enablement, a single relaxed atomic load, gates
+//! only what costs more than that: with telemetry disabled (the default
+//! for [`Telemetry::disabled`]) timers and the journal are off, so
+//! instrumented code skips every clock read through
+//! [`Telemetry::start_timer`] and every event built for
+//! [`Telemetry::journal_event`]. The `BENCH_telemetry.json` bench
+//! quantifies that disabled-path cost.
 //!
 //! ```
 //! use cryptodrop_telemetry::{JournalKind, Telemetry};
@@ -70,8 +74,9 @@ impl Telemetry {
         Self::build(true, journal_capacity)
     }
 
-    /// A **disabled** sink: probes cost one branch, nothing is recorded.
-    /// Enablement can be flipped later with [`Telemetry::set_enabled`].
+    /// A **disabled** sink: timers and the journal are off, while
+    /// counters, gauges and value histograms still record. Enablement can
+    /// be flipped later with [`Telemetry::set_enabled`].
     pub fn disabled() -> Self {
         Self::build(false, DEFAULT_JOURNAL_CAPACITY)
     }
@@ -86,14 +91,15 @@ impl Telemetry {
         }
     }
 
-    /// Whether probes currently record. This is the hot-path gate: a
-    /// single relaxed load.
+    /// Whether timers and the journal currently record. This is the
+    /// hot-path gate: a single relaxed load.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.shared.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off at runtime. All clones share the switch.
+    /// Turns timers and the journal on or off at runtime. All clones
+    /// share the switch.
     pub fn set_enabled(&self, enabled: bool) {
         self.shared.enabled.store(enabled, Ordering::Relaxed);
     }

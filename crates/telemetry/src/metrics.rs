@@ -280,6 +280,11 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The counter named `name`, or 0 when it was never registered.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
     /// Folds `other` into `self` name-by-name: counters and gauges sum,
     /// histograms [`merge`](HistogramSnapshot::merge). Metrics present on
     /// only one side carry over unchanged. A fleet rolls its per-tenant

@@ -59,7 +59,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cryptodrop_telemetry::{JournalKind, Telemetry};
+use cryptodrop_telemetry::{Counter, JournalKind, MetricsSnapshot, Telemetry};
 
 use crate::error::VfsError;
 use crate::path::VPath;
@@ -103,6 +103,18 @@ impl Site {
             Site::Latency => "clock.latency",
         }
     }
+
+    /// The registry counter of the site's fired decisions.
+    fn counter(self) -> &'static str {
+        match self {
+            Site::Io => "fault.io_errors",
+            Site::Capture => "fault.capture_failures",
+            Site::WorkerPanic => "fault.worker_panics",
+            Site::Latency => "fault.latency_spikes",
+        }
+    }
+
+    const ALL: [Site; 4] = [Site::Io, Site::Capture, Site::WorkerPanic, Site::Latency];
 }
 
 /// A declarative fault schedule: per-site probabilities, explicitly
@@ -231,8 +243,8 @@ impl FaultPlan {
     }
 }
 
-/// Injection counters, one per fault class. Read via
-/// [`FaultInjector::stats`].
+/// Injection counters, one per fault class: a typed view of the
+/// `fault.*` metrics. Read via [`FaultInjector::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// VFS operations aborted with an injected [`VfsError::Io`].
@@ -245,21 +257,26 @@ pub struct FaultStats {
     pub latency_spikes: u64,
 }
 
+impl FaultStats {
+    /// The fault counts in `metrics`: one injector's registry, or a fleet
+    /// rollup.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let fired = |site: Site| metrics.counter(site.counter());
+        Self {
+            io_errors: fired(Site::Io),
+            capture_failures: fired(Site::Capture),
+            worker_panics: fired(Site::WorkerPanic),
+            latency_spikes: fired(Site::Latency),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SiteState {
     /// Next decision ordinal at this site.
     index: AtomicU64,
-    /// Decisions that fired.
-    fired: AtomicU64,
-}
-
-impl SiteState {
-    fn new() -> Self {
-        Self {
-            index: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
-        }
-    }
+    /// Decisions that fired: the site's `fault.*` counter.
+    fired: Counter,
 }
 
 #[derive(Debug)]
@@ -289,23 +306,22 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl FaultInjector {
-    /// An injector executing `plan` without telemetry.
+    /// An injector executing `plan`, counting into a disabled telemetry
+    /// sink of its own.
     pub fn new(plan: FaultPlan) -> Self {
         Self::with_telemetry(plan, Telemetry::disabled())
     }
 
-    /// An injector executing `plan`, exporting `fault.*` counters and
-    /// `Fault` journal events through `telemetry`.
+    /// An injector executing `plan`, counting into `telemetry`'s
+    /// `fault.*` counters and journaling `Fault` events through it.
     pub fn with_telemetry(plan: FaultPlan, telemetry: Telemetry) -> Self {
         Self {
             inner: Arc::new(Inner {
                 plan,
-                sites: [
-                    SiteState::new(),
-                    SiteState::new(),
-                    SiteState::new(),
-                    SiteState::new(),
-                ],
+                sites: Site::ALL.map(|site| SiteState {
+                    index: AtomicU64::new(0),
+                    fired: telemetry.counter(site.counter()),
+                }),
                 telemetry,
             }),
         }
@@ -316,15 +332,10 @@ impl FaultInjector {
         &self.inner.plan
     }
 
-    /// Point-in-time injection counters.
+    /// Point-in-time injection counters, read from the injector's
+    /// telemetry sink.
     pub fn stats(&self) -> FaultStats {
-        let fired = |s: Site| self.inner.sites[s.index()].fired.load(Ordering::Relaxed);
-        FaultStats {
-            io_errors: fired(Site::Io),
-            capture_failures: fired(Site::Capture),
-            worker_panics: fired(Site::WorkerPanic),
-            latency_spikes: fired(Site::Latency),
-        }
+        FaultStats::from_metrics(&self.inner.telemetry.metrics().snapshot())
     }
 
     /// One decision at `site`: claims the next ordinal and fires when it
@@ -343,18 +354,7 @@ impl FaultInjector {
             }
         };
         if fire {
-            state.fired.fetch_add(1, Ordering::Relaxed);
-            if self.inner.telemetry.is_enabled() {
-                self.inner
-                    .telemetry
-                    .counter(match site {
-                        Site::Io => "fault.io_errors",
-                        Site::Capture => "fault.capture_failures",
-                        Site::WorkerPanic => "fault.worker_panics",
-                        Site::Latency => "fault.latency_spikes",
-                    })
-                    .inc();
-            }
+            state.fired.inc();
         }
         fire
     }

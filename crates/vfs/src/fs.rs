@@ -970,6 +970,12 @@ impl Vfs {
         if self.node_kind(mi, &to_parent) != Some(EntryKind::Directory) {
             return Err(VfsError::NotFound(to_parent));
         }
+        let file_id = self.file_at(mi, from).expect("checked above");
+        if self.file_at(mi, to) == Some(file_id) {
+            // Two hard links of one file: rename(2) succeeds and does
+            // nothing, so no filter sees an operation and nothing is lost.
+            return Ok(());
+        }
 
         self.fault_point(pid, from)?;
         let op = FsOp::Rename {
@@ -1004,7 +1010,6 @@ impl Vfs {
             _ => (None, false),
         };
 
-        let file_id = self.file_at(mi, from).expect("checked above");
         self.mounts[mi].provider.rename_entry(from, to);
         self.shadow_note_rename(pid, file_id, from, to);
 
@@ -2465,6 +2470,36 @@ mod tests {
                 format!("rename replaced={tmp_id:?} last_link=true"),
             ]
         );
+    }
+
+    /// Denies every operation in pre-op: a filter that any operation
+    /// reaching the chain would fail on.
+    struct DenyAll;
+    impl FilterDriver for DenyAll {
+        fn name(&self) -> &str {
+            "deny-all"
+        }
+        fn pre_op(&mut self, _ctx: &OpContext<'_>, _fs: &FsView<'_>) -> Verdict {
+            Verdict::deny()
+        }
+    }
+
+    #[test]
+    fn renaming_a_link_over_another_link_of_the_same_file_does_nothing() {
+        let (mut fs, pid) = fresh();
+        fs.write_file(pid, &p("/a.txt"), b"one file").unwrap();
+        fs.link(pid, &p("/a.txt"), &p("/b.txt")).unwrap();
+        let id = fs.admin().metadata(&p("/a.txt")).unwrap().file;
+        let seen = Recorder::attach(&mut fs);
+        fs.register_filter(Box::new(DenyAll));
+        // As rename(2): success, and both names still name the file.
+        fs.rename(pid, &p("/a.txt"), &p("/b.txt"), true).unwrap();
+        assert_eq!(fs.admin().metadata(&p("/a.txt")).unwrap().file, id);
+        assert_eq!(fs.admin().metadata(&p("/b.txt")).unwrap().file, id);
+        assert_eq!(fs.admin().read_file(&p("/b.txt")).unwrap(), b"one file");
+        // No filter saw an operation: the deny-all filter would have
+        // failed it in pre-op, and the recorder saw no post-op.
+        assert!(seen.ops().is_empty(), "{:?}", seen.ops());
     }
 
     /// Regression: renaming over a file that still has open handles must

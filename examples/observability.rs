@@ -12,8 +12,8 @@ use cryptodrop_vfs::{Vfs, Workload, WorkloadCtx};
 
 fn main() {
     // 1. A simulated machine, plus one telemetry sink shared by the VFS
-    //    and the engine (disabled sinks cost one branch per probe; this
-    //    one is enabled).
+    //    and the engine (a disabled sink still counts, and its timer and
+    //    journal probes cost one branch each; this one is enabled).
     let corpus = Corpus::generate(&CorpusSpec::sized(800, 80));
     let telemetry = Telemetry::new(64 * 1024);
     let mut fs = Vfs::new();

@@ -87,16 +87,14 @@ fn family_aggregation_stops_fanout_attacks() {
 }
 
 #[test]
-fn per_process_mode_still_available() {
-    // With aggregation off, unrelated top-level processes remain isolated
-    // (the original per-process semantics).
+fn unrelated_processes_are_separate_families() {
+    // Unrelated top-level processes are families of their own: detecting
+    // one leaves the other free.
     let corpus = corpus();
     let mut fs = Vfs::new();
     corpus.stage_into(&mut fs).unwrap();
-    let mut cfg = Config::protecting(corpus.root().as_str());
-    cfg.aggregate_process_families = false;
     let monitor = CryptoDrop::builder()
-        .config(cfg)
+        .config(Config::protecting(corpus.root().as_str()))
         .build()
         .expect("valid config");
     fs.register_filter(Box::new(monitor.fork()));
