@@ -1,9 +1,10 @@
 //! Bench: the analysis primitives — Shannon entropy, sdhash vs CTPH
 //! digesting and comparison (the paper's similarity-scheme choice), the
 //! dirty-extent sdhash splice and the cold snapshot capture, type
-//! sniffing, and the simulation ciphers.
+//! sniffing (a magic hit, prose text and a docx), and the simulation
+//! ciphers.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use cryptodrop::{Config, FileSnapshot};
 use cryptodrop_entropy::shannon_entropy;
 use cryptodrop_malware::cipher::{ChaCha20, Cipher, Rc4, XorCipher, XteaCbc};
@@ -16,11 +17,21 @@ fn bench(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let text = cryptodrop_corpus::gen::text::txt(&mut rng, 64 * 1024);
     let pdf = cryptodrop_corpus::gen::office::pdf(&mut rng, 64 * 1024);
+    let text_16k = cryptodrop_corpus::gen::text::txt(&mut rng, 16 * 1024);
+    let docx = cryptodrop_corpus::gen::office::docx(&mut rng, 20 * 1024);
 
     let mut group = c.benchmark_group("primitives");
     group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("entropy/64k_text", |b| b.iter(|| shannon_entropy(&text)));
     group.bench_function("sniff/64k_pdf", |b| b.iter(|| sniff(&pdf)));
+    // The slow paths a magic hit skips: the text heuristics over the 8 KiB
+    // window of a prose file (funneling's first read, the tier-2/3 close),
+    // and the member-name scans that refine a ZIP into a docx.
+    group.throughput(Throughput::Bytes(text_16k.len() as u64));
+    group.bench_function("sniff/16k_text", |b| b.iter(|| sniff(black_box(&text_16k))));
+    group.throughput(Throughput::Bytes(docx.len() as u64));
+    group.bench_function("sniff/docx_20k", |b| b.iter(|| sniff(black_box(&docx))));
+    group.throughput(Throughput::Bytes(text.len() as u64));
     group.bench_function("sdhash/digest_64k", |b| b.iter(|| SdDigest::compute(&text)));
     let cipher_text = ChaCha20::from_seed(1).encrypt(&text);
     group.bench_function("sdhash/digest_64k_cipher", |b| {
